@@ -7,16 +7,12 @@
 //! ```
 //!
 //! Per trial `i`, a [`FaultPlan::random`] schedule is generated from
-//! `seed_base + i` and the same mission is flown under both sync modes.
-//! The invariants (DESIGN.md §4h):
+//! `seed_base + i` and the mission is flown once over it. The invariants
+//! (DESIGN.md §4h):
 //!
 //! 1. **No panic.** Whatever the transport does, the stack latches faults
 //!    and winds down; it never tears down the process.
-//! 2. **Determinism.** Same seed ⇒ bit-identical [`MissionDigest`] under
-//!    `Sequential` and `Parallel` — injected faults, retries, and
-//!    watchdog-degraded iterations are all scheduled in sim time, so the
-//!    host's thread interleaving must stay unobservable.
-//! 3. **Orderly termination.** Every flight ends in one of: goal reached,
+//! 2. **Orderly termination.** Every flight ends in one of: goal reached,
 //!    sim-time budget expired, a deliberate mission abort, or a latched
 //!    transport fault documented by a `transport-fault` postmortem. A
 //!    latched flight never claims completion.
@@ -34,10 +30,8 @@
 //! Exit codes: 0 = all trials clean (or self-test passed), 1 = a
 //! violation survived shrinking, 2 = bad usage or a broken self-test.
 
-use rose::audit::MissionDigest;
 use rose::mission::{run_mission_with_faults, FaultedMissionReport, MissionConfig};
 use rose_bridge::faults::{FaultKind, FaultPlan};
-use rose_bridge::sync::SyncMode;
 use rose_sim_core::snap::SnapWriter;
 use rose_trace::json;
 use std::path::PathBuf;
@@ -90,19 +84,18 @@ fn parse_args() -> Args {
     args
 }
 
-fn config(seconds: f64, sync_mode: SyncMode) -> MissionConfig {
+fn config(seconds: f64) -> MissionConfig {
     MissionConfig {
         max_sim_seconds: seconds,
-        sync_mode,
         ..MissionConfig::default()
     }
 }
 
 /// Runs one mission under a fault plan, catching panics (invariant 1).
-fn fly(seconds: f64, sync_mode: SyncMode, plan: &FaultPlan) -> Result<FaultedMissionReport, String> {
+fn fly(seconds: f64, plan: &FaultPlan) -> Result<FaultedMissionReport, String> {
     let plan = plan.clone();
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-        run_mission_with_faults(&config(seconds, sync_mode), plan)
+        run_mission_with_faults(&config(seconds), plan)
     }))
     .map_err(|cause| {
         let msg = cause
@@ -110,17 +103,15 @@ fn fly(seconds: f64, sync_mode: SyncMode, plan: &FaultPlan) -> Result<FaultedMis
             .map(|s| (*s).to_owned())
             .or_else(|| cause.downcast_ref::<String>().cloned())
             .unwrap_or_else(|| "non-string panic payload".to_owned());
-        format!("{sync_mode:?}: panicked: {msg}")
+        format!("panicked: {msg}")
     })
 }
 
-/// Checks one flight's termination taxonomy (invariant 3).
-fn check_termination(sync_mode: SyncMode, outcome: &FaultedMissionReport) -> Result<(), String> {
+/// Checks one flight's termination taxonomy (invariant 2).
+fn check_termination(outcome: &FaultedMissionReport) -> Result<(), String> {
     if outcome.latched.is_some() {
         if outcome.report.completed {
-            return Err(format!(
-                "{sync_mode:?}: latched a transport fault yet claims completion"
-            ));
+            return Err("latched a transport fault yet claims completion".to_owned());
         }
         let named = outcome.report.postmortems.iter().any(|pm| {
             json::parse(pm)
@@ -130,38 +121,22 @@ fn check_termination(sync_mode: SyncMode, outcome: &FaultedMissionReport) -> Res
                 == Some("transport-fault")
         });
         if !named {
-            return Err(format!(
-                "{sync_mode:?}: latched fault has no transport-fault postmortem"
-            ));
+            return Err("latched fault has no transport-fault postmortem".to_owned());
         }
     }
     if outcome.aborted && outcome.report.completed {
-        return Err(format!("{sync_mode:?}: aborted yet claims completion"));
+        return Err("aborted yet claims completion".to_owned());
     }
     Ok(())
 }
 
-/// The sweep's violation oracle: flies `plan` under both sync modes and
-/// returns a description of the first broken invariant, if any.
+/// The sweep's violation oracle: flies `plan` and returns a description
+/// of the first broken invariant, if any.
 fn violation(seconds: f64, plan: &FaultPlan) -> Option<String> {
-    let mut digests = Vec::new();
-    for sync_mode in [SyncMode::Sequential, SyncMode::Parallel] {
-        let outcome = match fly(seconds, sync_mode, plan) {
-            Ok(outcome) => outcome,
-            Err(panic) => return Some(panic),
-        };
-        if let Err(broken) = check_termination(sync_mode, &outcome) {
-            return Some(broken);
-        }
-        digests.push(MissionDigest::of(&outcome.report));
+    match fly(seconds, plan) {
+        Ok(outcome) => check_termination(&outcome).err(),
+        Err(panic) => Some(panic),
     }
-    if digests[0] != digests[1] {
-        return Some(format!(
-            "sync modes diverged: sequential {:?} vs parallel {:?}",
-            digests[0], digests[1]
-        ));
-    }
-    None
 }
 
 /// Rebuilds `plan` without the event at `skip` (the shrink step).

@@ -503,7 +503,7 @@ fn main() -> ExitCode {
             eprintln!("determinism audit FAILED: diverged on {}", diverged.join(", "));
             return ExitCode::FAILURE;
         }
-        println!("determinism: bit-identical across runs (sync_mode {:?})", config.sync_mode);
+        println!("determinism: bit-identical across runs");
     }
     rose_bench::persist_timing_cache();
     ExitCode::SUCCESS

@@ -11,7 +11,8 @@ use crate::report::TextTable;
 use crate::timing::with_timing_cache;
 use rose::app::ControllerChoice;
 use rose::mission::{
-    build_mission, finish_report, mission_parts, run_mission, MissionConfig, MissionReport,
+    build_mission, finish_report, mission_parts, quantum_walls, run_mission, MissionConfig,
+    MissionReport,
 };
 use rose::snapshot::{Mission, MissionSnapshot};
 use rose_bridge::sync::{serve_rtl, RemoteRtl, Synchronizer};
@@ -22,6 +23,7 @@ use rose_envsim::WorldKind;
 use rose_sim_core::csv::CsvLog;
 use rose_sim_core::cycles::{FrameSpec, SyncRatio};
 use rose_socsim::SocConfig;
+use rose_trace::Profiler;
 use std::net::TcpListener;
 use std::thread;
 
@@ -243,9 +245,6 @@ pub struct Fig15Point {
     /// Wall seconds the RTL side spent consuming cycle grants (for the
     /// TCP deployment this includes the per-sync round trips).
     pub rtl_wall_s: f64,
-    /// Fraction of the cheaper side hidden behind the more expensive one
-    /// by the parallel quantum (`SyncStats::overlap_efficiency`).
-    pub overlap: f64,
 }
 
 /// Figure 15: co-simulation throughput vs synchronization granularity.
@@ -282,6 +281,7 @@ pub fn fig15(sim_seconds_per_point: f64) -> Vec<Fig15Point> {
                 (sim_seconds_per_point * 100.0 / frames_per_sync as f64).ceil() as u64;
             sync.run_syncs(syncs.max(1));
             let stats = *sync.stats();
+            let (env_wall, rtl_wall) = quantum_walls(&Profiler::new(), sync.profiler());
             let (_, remote) = sync.into_parts();
             remote.shutdown().expect("shutdown");
             server.join().expect("server thread");
@@ -290,9 +290,8 @@ pub fn fig15(sim_seconds_per_point: f64) -> Vec<Fig15Point> {
                 frames_per_sync,
                 cycles_per_sync: sync_config.cycles_per_sync(),
                 sim_mhz: stats.throughput_hz() / 1e6,
-                env_wall_s: stats.env_wall.as_secs_f64(),
-                rtl_wall_s: stats.rtl_wall.as_secs_f64(),
-                overlap: stats.overlap_efficiency(),
+                env_wall_s: env_wall.as_secs_f64(),
+                rtl_wall_s: rtl_wall.as_secs_f64(),
             }
         })
         .collect()

@@ -31,6 +31,6 @@ pub mod transport;
 pub use faults::{FaultEvent, FaultKind, FaultPlan, FaultStats, FaultyTransport};
 pub use packet::{DecodeError, Packet};
 pub use sync::{
-    EnvSide, RecoveryPolicy, RecoveryStats, RtlSide, SyncConfig, SyncMode, SyncStats, Synchronizer,
+    EnvSide, RecoveryPolicy, RecoveryStats, RtlSide, SyncConfig, SyncStats, Synchronizer,
 };
 pub use transport::{ChannelTransport, TcpTransport, Transport};

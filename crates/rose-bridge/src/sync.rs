@@ -10,9 +10,9 @@
 //!    environment API calls,
 //! 2. forward the responses (and any unsolicited sensor data) to the RTL
 //!    side's RX queue,
-//! 3. allocate tokens: grant the RTL simulation its cycle budget and the
-//!    environment its frames,
-//! 4. wait for both to finish, and advance simulation time.
+//! 3. allocate tokens: grant the RTL simulation its cycle budget, then
+//!    step the environment its frames,
+//! 4. advance simulation time.
 //!
 //! Data crossing between simulators is therefore only visible at sync
 //! boundaries — coarser synchronization induces artificial latency, the
@@ -23,11 +23,11 @@ use crate::transport::{Transport, TransportError};
 use rose_sim_core::cycles::{Cycle, Frame, SimTime, SyncRatio};
 use rose_sim_core::snap::{SnapError, SnapReader, SnapWriter};
 use rose_trace::{
-    ArgValue, LogHistogram, MetricRegistry, MetricSource, Phase, Profiler, Track, TraceEvent,
-    Tracer,
+    ArgValue, LogHistogram, MetricRegistry, MetricSource, Phase, Profiler, Stopwatch, TraceEvent,
+    Tracer, Track,
 };
 use serde::{Deserialize, Serialize};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// The environment-simulator side of the co-simulation (AirSim's role).
 pub trait EnvSide {
@@ -161,23 +161,6 @@ pub struct RecoveryStats {
     pub backoff_units: u64,
 }
 
-/// How the two simulators execute within one synchronization period.
-///
-/// Either way, data crosses only at sync boundaries: the exchange phase of
-/// [`Synchronizer::step_sync`] runs single-threaded before any token is
-/// granted, so the mode is unobservable to the simulated system — it only
-/// changes wall-clock time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SyncMode {
-    /// Grant the RTL simulation, then step the environment, on one thread.
-    Sequential,
-    /// Run the RTL grant and the environment frames concurrently and join
-    /// at the sync boundary, hiding the shorter side's latency behind the
-    /// longer (the co-simulation analogue of the paper's decoupled
-    /// simulator processes).
-    Parallel,
-}
-
 /// Synchronization configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SyncConfig {
@@ -186,13 +169,10 @@ pub struct SyncConfig {
     /// Environment frames per synchronization period (the granularity
     /// swept in Figures 15/16).
     pub frames_per_sync: u64,
-    /// Intra-period execution mode.
-    pub mode: SyncMode,
 }
 
 impl SyncConfig {
-    /// Creates a config; `frames_per_sync` must be nonzero. The execution
-    /// mode defaults to [`SyncMode::Parallel`].
+    /// Creates a config; `frames_per_sync` must be nonzero.
     ///
     /// # Panics
     ///
@@ -202,14 +182,7 @@ impl SyncConfig {
         SyncConfig {
             ratio,
             frames_per_sync,
-            mode: SyncMode::Parallel,
         }
-    }
-
-    /// Returns the config with a different execution mode.
-    pub fn with_mode(mut self, mode: SyncMode) -> SyncConfig {
-        self.mode = mode;
-        self
     }
 
     /// Nominal SoC cycles per synchronization period (the period starting
@@ -242,16 +215,9 @@ pub struct SyncStats {
     pub data_to_env: u64,
     /// Data payloads delivered environment → SoC.
     pub data_to_rtl: u64,
-    /// Wall-clock time spent inside `step_sync`.
+    /// Wall-clock time spent inside `step_sync`: the sum of its laps, so
+    /// it equals the synchronizer's [`Profiler::total_wall`].
     pub wall: Duration,
-    /// Wall-clock time the environment spent stepping frames.
-    pub env_wall: Duration,
-    /// Wall-clock time the RTL simulation spent consuming cycle grants.
-    pub rtl_wall: Duration,
-    /// Wall-clock time of the token-consumption phase of each period (both
-    /// sides together — equals `env_wall + rtl_wall` when sequential, the
-    /// slower side plus join overhead when parallel).
-    pub quantum_wall: Duration,
 }
 
 impl SyncStats {
@@ -265,28 +231,6 @@ impl SyncStats {
             self.sim_cycles as f64 / secs
         }
     }
-
-    /// Fraction of the cheaper side's work hidden behind the more
-    /// expensive side: `(env_wall + rtl_wall - quantum_wall) /
-    /// min(env_wall, rtl_wall)`.
-    ///
-    /// 1.0 means the shorter side was entirely overlapped (ideal parallel
-    /// quantum); 0.0 means fully serial execution. Clamped to `[0, 1]`;
-    /// returns 0.0 before any period has run (both the quantum wall and
-    /// the shorter side are guarded — a division by a zero duration would
-    /// yield NaN, and `f64::clamp` propagates NaN into the fig15 CSV).
-    pub fn overlap_efficiency(&self) -> f64 {
-        if self.quantum_wall.is_zero() {
-            return 0.0;
-        }
-        let shorter = self.env_wall.min(self.rtl_wall).as_secs_f64();
-        if shorter == 0.0 {
-            return 0.0;
-        }
-        let hidden =
-            (self.env_wall + self.rtl_wall).as_secs_f64() - self.quantum_wall.as_secs_f64();
-        (hidden / shorter).clamp(0.0, 1.0)
-    }
 }
 
 impl MetricSource for SyncStats {
@@ -297,24 +241,21 @@ impl MetricSource for SyncStats {
         registry.set_counter("sync.data_to_env", self.data_to_env);
         registry.set_counter("sync.data_to_rtl", self.data_to_rtl);
         registry.gauge("sync.wall_s", self.wall.as_secs_f64());
-        registry.gauge("sync.env_wall_s", self.env_wall.as_secs_f64());
-        registry.gauge("sync.rtl_wall_s", self.rtl_wall.as_secs_f64());
-        registry.gauge("sync.quantum_wall_s", self.quantum_wall.as_secs_f64());
         registry.gauge("sync.throughput_hz", self.throughput_hz());
-        registry.gauge("sync.overlap_efficiency", self.overlap_efficiency());
     }
 }
 
 /// Always-on per-quantum latency and queue-depth distributions.
 ///
-/// Unlike the cumulative [`SyncStats`] durations, these keep the full
+/// Unlike the cumulative [`SyncStats::wall`], these keep the full
 /// per-period shape (p50/p90/p99/p99.9 through [`LogHistogram`]). They
 /// are host-side telemetry: excluded from mission snapshots and never an
 /// input to the determinism digest, like the wall-time args on the
 /// `sync-quantum` trace spans (DESIGN.md §4f).
 #[derive(Debug, Clone, Default)]
 pub struct SyncTelemetry {
-    /// Host wall time of each full quantum (both sides), µs.
+    /// Host wall time of each quantum's token consumption (the RTL grant
+    /// plus the environment step), µs.
     pub quantum_wall_us: LogHistogram,
     /// Host wall time of each RTL cycle grant (the grant latency), µs.
     pub grant_latency_us: LogHistogram,
@@ -455,9 +396,6 @@ impl<E: EnvSide, R: RtlSide> Synchronizer<E, R> {
             data_to_env,
             data_to_rtl,
             wall: _,
-            env_wall: _,
-            rtl_wall: _,
-            quantum_wall: _,
         } = stats;
         w.u64(*syncs);
         w.u64(*sim_cycles);
@@ -495,8 +433,8 @@ impl<E: EnvSide, R: RtlSide> Synchronizer<E, R> {
     ///
     /// This runs before any token is granted, so everything either side
     /// observes during the following quantum was committed at the sync
-    /// boundary — the invariant that makes [`SyncMode::Parallel`]
-    /// indistinguishable from [`SyncMode::Sequential`].
+    /// boundary — the invariant that lets the RTL side live in another
+    /// process ([`RemoteRtl`]) without changing the simulation.
     fn exchange(&mut self) {
         let boundary = self.time.cycle.raw();
         let drained = self.rtl.drain_tx();
@@ -536,14 +474,7 @@ impl<E: EnvSide, R: RtlSide> Synchronizer<E, R> {
 
     /// Records the period's grant and quantum span (called before the
     /// clock advances, so `self.time` is still the period start).
-    fn trace_quantum(
-        &mut self,
-        cycles: u64,
-        frames: u64,
-        env_wall: Duration,
-        rtl_wall: Duration,
-        quantum_wall: Duration,
-    ) {
+    fn trace_quantum(&mut self, cycles: u64, frames: u64, rtl_wall: Duration, env_wall: Duration) {
         if !self.tracer.is_enabled() {
             return;
         }
@@ -569,7 +500,7 @@ impl<E: EnvSide, R: RtlSide> Synchronizer<E, R> {
                 ("rtl_wall_us", ArgValue::F64(rtl_wall.as_secs_f64() * 1e6)),
                 (
                     "quantum_wall_us",
-                    ArgValue::F64(quantum_wall.as_secs_f64() * 1e6),
+                    ArgValue::F64((rtl_wall + env_wall).as_secs_f64() * 1e6),
                 ),
             ],
         );
@@ -584,137 +515,54 @@ impl<E: EnvSide, R: RtlSide> Synchronizer<E, R> {
         (cycles, frames)
     }
 
-    fn finish_period(&mut self, cycles: u64, frames: u64, started: Instant) {
+    /// Executes one synchronization period (the body of Algorithm 1) on
+    /// the calling thread: exchange, grant, environment step, trace, and
+    /// advance.
+    ///
+    /// One [`Stopwatch`] lap sequence times the call, one lap per step:
+    /// exchange → [`Phase::Transport`], grant → [`Phase::RtlGrant`] (minus
+    /// the [`Phase::Recovery`] / [`Phase::CostModel`] carve-outs),
+    /// environment → [`Phase::EnvStep`], trace and advance →
+    /// [`Phase::TraceOverhead`]. The laps tile the call, so
+    /// [`SyncStats::wall`] equals the profiler's total by construction.
+    pub fn step_sync(&mut self) {
+        let mut laps = Stopwatch::start();
+        self.exchange();
+        let (cycles, frames) = self.next_grant();
+        let exchange = laps.lap();
+        self.rtl.grant_and_run(cycles);
+        let grant = laps.lap();
+        self.env.step_frames(frames);
+        let env = laps.lap();
+        self.telemetry
+            .grant_latency_us
+            .record(grant.as_secs_f64() * 1e6);
+        self.telemetry
+            .quantum_wall_us
+            .record((grant + env).as_secs_f64() * 1e6);
+        self.trace_quantum(cycles, frames, grant, env);
         self.time.advance(frames, cycles);
         self.stats.syncs += 1;
         self.stats.sim_cycles += cycles;
         self.stats.sim_frames += frames;
-        self.stats.wall += started.elapsed();
-    }
+        let trace = laps.lap();
 
-    /// Executes one synchronization period on the calling thread,
-    /// regardless of the configured [`SyncMode`]. Available for endpoints
-    /// that are not [`Send`]; prefer [`step_sync`](Synchronizer::step_sync).
-    pub fn step_sync_sequential(&mut self) {
-        let started = Instant::now();
-        self.exchange();
-        self.profiler.add(Phase::Transport, started.elapsed());
-        let (cycles, frames) = self.next_grant();
-
-        let quantum_started = Instant::now();
-        self.rtl.grant_and_run(cycles);
-        let rtl_done = Instant::now();
-        self.env.step_frames(frames);
-        let env_done = Instant::now();
-        self.stats.rtl_wall += rtl_done - quantum_started;
-        self.stats.env_wall += env_done - rtl_done;
-        self.stats.quantum_wall += env_done - quantum_started;
-        let recovery = self.rtl.take_recovery_wall();
-        let cost_model = self.rtl.take_cost_model_wall();
-        self.profiler.add(
-            Phase::RtlGrant,
-            (rtl_done - quantum_started)
-                .saturating_sub(recovery)
-                .saturating_sub(cost_model),
-        );
+        // The carve-outs are clamped to the grant they interrupted, so
+        // the grant's three phases still sum to its lap exactly.
+        let recovery = self.rtl.take_recovery_wall().min(grant);
+        let cost_model = self.rtl.take_cost_model_wall().min(grant - recovery);
+        self.profiler.add(Phase::Transport, exchange);
+        self.profiler
+            .add(Phase::RtlGrant, grant - recovery - cost_model);
         if !recovery.is_zero() {
             self.profiler.add(Phase::Recovery, recovery);
         }
         if !cost_model.is_zero() {
             self.profiler.add(Phase::CostModel, cost_model);
         }
-        self.profiler.add(Phase::EnvStep, env_done - rtl_done);
-        self.observe_quantum(rtl_done - quantum_started, env_done - quantum_started);
-        let trace_started = Instant::now();
-        self.trace_quantum(
-            cycles,
-            frames,
-            env_done - rtl_done,
-            rtl_done - quantum_started,
-            env_done - quantum_started,
-        );
-        self.profiler.add(Phase::TraceOverhead, trace_started.elapsed());
-
-        self.finish_period(cycles, frames, started);
-    }
-
-    /// Feeds the period's wall measurements into the always-on histograms.
-    fn observe_quantum(&mut self, rtl_wall: Duration, quantum_wall: Duration) {
-        self.telemetry
-            .grant_latency_us
-            .record(rtl_wall.as_secs_f64() * 1e6);
-        self.telemetry
-            .quantum_wall_us
-            .record(quantum_wall.as_secs_f64() * 1e6);
-    }
-}
-
-/// Driving methods. The RTL grant runs on a scoped worker thread when the
-/// mode is [`SyncMode::Parallel`], hence the [`Send`] bound; the
-/// environment always steps on the calling thread, so `E` needs none.
-impl<E: EnvSide, R: RtlSide + Send> Synchronizer<E, R> {
-    /// Executes one synchronization period (the body of Algorithm 1).
-    ///
-    /// With [`SyncMode::Parallel`], the RTL cycle grant and the
-    /// environment frames run concurrently and join before time advances;
-    /// the preceding exchange phase is single-threaded either way, so data
-    /// still crosses only at sync boundaries.
-    pub fn step_sync(&mut self) {
-        match self.config.mode {
-            SyncMode::Sequential => self.step_sync_sequential(),
-            SyncMode::Parallel => self.step_sync_parallel(),
-        }
-    }
-
-    fn step_sync_parallel(&mut self) {
-        let started = Instant::now();
-        self.exchange();
-        self.profiler.add(Phase::Transport, started.elapsed());
-        let (cycles, frames) = self.next_grant();
-
-        let quantum_started = Instant::now();
-        let rtl = &mut self.rtl;
-        let env = &mut self.env;
-        let (env_wall, rtl_wall) = std::thread::scope(|scope| {
-            let worker = scope.spawn(move || {
-                let t0 = Instant::now();
-                rtl.grant_and_run(cycles);
-                t0.elapsed()
-            });
-            let t0 = Instant::now();
-            env.step_frames(frames);
-            let env_wall = t0.elapsed();
-            // A panicking RTL endpoint re-raises its own payload on the
-            // driving thread rather than a second, less informative panic
-            // from expect() (PANIC001: no new panic sites in the quantum).
-            let rtl_wall = worker
-                .join()
-                .unwrap_or_else(|cause| std::panic::resume_unwind(cause));
-            (env_wall, rtl_wall)
-        });
-        let quantum_wall = quantum_started.elapsed();
-        self.stats.env_wall += env_wall;
-        self.stats.rtl_wall += rtl_wall;
-        self.stats.quantum_wall += quantum_wall;
-        let recovery = self.rtl.take_recovery_wall();
-        let cost_model = self.rtl.take_cost_model_wall();
-        self.profiler.add(
-            Phase::RtlGrant,
-            rtl_wall.saturating_sub(recovery).saturating_sub(cost_model),
-        );
-        if !recovery.is_zero() {
-            self.profiler.add(Phase::Recovery, recovery);
-        }
-        if !cost_model.is_zero() {
-            self.profiler.add(Phase::CostModel, cost_model);
-        }
-        self.profiler.add(Phase::EnvStep, env_wall);
-        self.observe_quantum(rtl_wall, quantum_wall);
-        let trace_started = Instant::now();
-        self.trace_quantum(cycles, frames, env_wall, rtl_wall, quantum_wall);
-        self.profiler.add(Phase::TraceOverhead, trace_started.elapsed());
-
-        self.finish_period(cycles, frames, started);
+        self.profiler.add(Phase::EnvStep, env);
+        self.profiler.add(Phase::TraceOverhead, trace);
+        self.stats.wall += exchange + grant + env + trace;
     }
 
     /// Runs `n` synchronization periods.
@@ -1108,7 +956,7 @@ impl<T: Transport> RtlSide for RemoteRtl<T> {
         }
         self.stage_outbox();
         let mut attempt = 0u32;
-        let mut episode: Option<Instant> = None;
+        let mut episode: Option<Stopwatch> = None;
         loop {
             match self.try_quantum(cycles) {
                 Ok(outcome) => {
@@ -1124,7 +972,7 @@ impl<T: Transport> RtlSide for RemoteRtl<T> {
                     return;
                 }
                 Err(e) => {
-                    let t0 = *episode.get_or_insert_with(Instant::now);
+                    let t0 = *episode.get_or_insert_with(Stopwatch::start);
                     if !e.is_transient() || attempt >= self.policy.max_retries {
                         self.recovery.exhausted += 1;
                         self.recovery_wall += t0.elapsed();
@@ -1417,7 +1265,7 @@ mod tests {
     fn grants_do_not_drift_over_many_periods() {
         let ratio = SyncRatio::new(ClockSpec::from_hz(1_000_000_000), FrameSpec::from_hz(60));
         for frames_per_sync in [1u64, 10, 40] {
-            let cfg = SyncConfig::new(ratio, frames_per_sync).with_mode(SyncMode::Sequential);
+            let cfg = SyncConfig::new(ratio, frames_per_sync);
             let mut sync = Synchronizer::new(cfg, EchoEnv::default(), LoopRtl::default());
             sync.run_syncs(10_000);
 
@@ -1439,36 +1287,6 @@ mod tests {
             );
             assert!(drift <= 1, "span sizing should be cycle-exact: {drift}");
         }
-    }
-
-    /// The parallel quantum must be unobservable: identical progress
-    /// counters and identical message contents *and ordering* on both
-    /// endpoints, versus the sequential reference.
-    #[test]
-    fn parallel_mode_matches_sequential_exactly() {
-        fn run(mode: SyncMode) -> (SyncStats, Vec<Vec<u8>>, Vec<Vec<u8>>) {
-            let cfg = config(2).with_mode(mode);
-            let mut sync = Synchronizer::new(cfg, EchoEnv::default(), LoopRtl::default());
-            // Seed traffic so data crosses in both directions every period.
-            sync.rtl_mut().tx.push(vec![1]);
-            sync.rtl_mut().tx.push(vec![2, 3]);
-            sync.run_syncs(50);
-            let stats = *sync.stats();
-            let (env, rtl) = sync.into_parts();
-            (stats, env.seen, rtl.received)
-        }
-
-        let (seq_stats, seq_env_seen, seq_rtl_rx) = run(SyncMode::Sequential);
-        let (par_stats, par_env_seen, par_rtl_rx) = run(SyncMode::Parallel);
-
-        assert_eq!(seq_stats.syncs, par_stats.syncs);
-        assert_eq!(seq_stats.sim_cycles, par_stats.sim_cycles);
-        assert_eq!(seq_stats.sim_frames, par_stats.sim_frames);
-        assert_eq!(seq_stats.data_to_env, par_stats.data_to_env);
-        assert_eq!(seq_stats.data_to_rtl, par_stats.data_to_rtl);
-        assert_eq!(seq_env_seen, par_env_seen);
-        assert_eq!(seq_rtl_rx, par_rtl_rx);
-        assert!(seq_env_seen.len() > 50, "scenario should move real data");
     }
 
     /// A dead peer mid-mission must latch a fault and halt, not panic.
@@ -1513,35 +1331,6 @@ mod tests {
         remote.shutdown().unwrap();
         let rtl = server_thread.join().unwrap();
         assert!(rtl.cycles > 0);
-    }
-
-    /// The satellite bugfix: a zero `quantum_wall` (zero-period runs, or
-    /// stats snapshotted before any period) must report 0.0, never NaN —
-    /// `f64::clamp` propagates NaN straight into the fig15 CSV.
-    #[test]
-    fn overlap_efficiency_is_zero_not_nan_for_zero_durations() {
-        let fresh = SyncStats::default();
-        assert_eq!(fresh.overlap_efficiency(), 0.0);
-
-        // Degenerate but possible on coarse clocks: both sides measured
-        // 0 ns yet the counters advanced.
-        let zero_walls = SyncStats {
-            syncs: 3,
-            sim_cycles: 300,
-            ..SyncStats::default()
-        };
-        let eff = zero_walls.overlap_efficiency();
-        assert!(!eff.is_nan(), "got NaN");
-        assert_eq!(eff, 0.0);
-
-        // Sanity: a genuine half-overlapped period still reports normally.
-        let real = SyncStats {
-            env_wall: Duration::from_millis(10),
-            rtl_wall: Duration::from_millis(10),
-            quantum_wall: Duration::from_millis(15),
-            ..SyncStats::default()
-        };
-        assert!((real.overlap_efficiency() - 0.5).abs() < 1e-9);
     }
 
     /// Tracing a run records quantum spans, grants, and packet crossings
@@ -1835,6 +1624,32 @@ mod tests {
         assert!(sync.telemetry().quantum_wall_us.is_empty());
         assert!(sync.telemetry().queue_depth.is_empty());
         assert!(sync.profiler().is_empty());
+    }
+
+    /// The quantum's laps tile `step_sync`: after any number of periods
+    /// the wall-time total equals the profiler's phase sum exactly, for an
+    /// in-process endpoint and for one behind a transport alike.
+    #[test]
+    fn sync_wall_is_exactly_the_profiler_total() {
+        let mut local = Synchronizer::new(config(2), EchoEnv::default(), LoopRtl::default());
+        local.rtl_mut().tx.push(vec![1, 2, 3]);
+        local.run_syncs(25);
+        assert_eq!(local.stats().wall, local.profiler().total_wall());
+        assert!(!local.stats().wall.is_zero());
+
+        let (client, mut server) = ChannelTransport::pair();
+        let server_thread = thread::spawn(move || {
+            let mut rtl = LoopRtl::default();
+            serve_rtl(&mut server, &mut rtl).unwrap();
+        });
+        let mut remote = Synchronizer::new(config(1), EchoEnv::default(), RemoteRtl::new(client));
+        remote.rtl_mut().push_data(vec![9]);
+        remote.run_syncs(25);
+        assert_eq!(remote.stats().wall, remote.profiler().total_wall());
+        assert_eq!(remote.profiler().count(Phase::RtlGrant), 25);
+        let (_, rtl) = remote.into_parts();
+        rtl.shutdown().unwrap();
+        server_thread.join().unwrap();
     }
 
     /// A transport that dies mid-outbox must keep the unsent payloads

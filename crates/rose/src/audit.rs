@@ -4,13 +4,13 @@
 //! is deterministic" (Artifact §A.7), and every stochastic element of this
 //! reproduction draws from the seeded [`SimRng`](rose_sim_core::SimRng)
 //! streams, so the same [`MissionConfig`] must reproduce the same mission
-//! **bit-exactly** — including under [`SyncMode::Parallel`], where the RTL
-//! grant and the environment frames execute on different threads. The
-//! static `rose-lint` pass catches the violations a lexer can see
-//! (wall-clock reads, hash-map iteration, truncating casts); this module
-//! is the dynamic complement that catches what it cannot: real data races,
-//! unsynchronized accumulation order, or allocator-address leakage would
-//! all perturb the digest of one run out of two.
+//! **bit-exactly** — including across a transport, where the RTL side
+//! runs on a server thread. The static `rose-lint` pass catches the
+//! violations a lexer can see (wall-clock reads, hash-map iteration,
+//! truncating casts); this module is the dynamic complement that catches
+//! what it cannot: real data races, unsynchronized accumulation order, or
+//! allocator-address leakage would all perturb the digest of one run out
+//! of two.
 //!
 //! The audit runs the same config twice with tracing enabled and compares
 //! FNV-1a digests of three independent surfaces:
@@ -20,8 +20,6 @@
 //! 3. the **merged trace log's simulated-time ordering** (track, name,
 //!    timestamp, kind — deliberately *excluding* event args, which carry
 //!    wall-clock measurements that legitimately differ between runs).
-//!
-//! [`SyncMode::Parallel`]: rose_bridge::sync::SyncMode::Parallel
 
 use crate::mission::{run_mission, MissionConfig, MissionReport};
 use rose_sim_core::fnv::Fnv64;
@@ -221,46 +219,39 @@ mod tests {
     }
 
     #[test]
-    fn timing_cache_is_digest_invisible_in_both_sync_modes() {
+    fn timing_cache_is_digest_invisible() {
         // The §4i contract end to end: a cold mission, a recording
         // mission (cold expansion + disk writes), and a fully warm replay
-        // from a reloaded cache file must digest bit-identically — under
-        // both intra-period execution modes.
-        use rose_bridge::sync::SyncMode;
+        // from a reloaded cache file must digest bit-identically.
         use rose_socsim::SharedTimingCache;
 
         let path = std::env::temp_dir().join(format!(
             "rose-audit-timing-cache-{}.snap",
             std::process::id()
         ));
-        for mode in [SyncMode::Sequential, SyncMode::Parallel] {
-            let _ = std::fs::remove_file(&path);
-            let base = short(MissionConfig {
-                sync_mode: mode,
-                ..MissionConfig::default()
-            });
-            let cold = MissionDigest::of(&run_mission(&base));
+        let _ = std::fs::remove_file(&path);
+        let base = short(MissionConfig::default());
+        let cold = MissionDigest::of(&run_mission(&base));
 
-            let recording = SharedTimingCache::load(&path);
-            let populated = MissionDigest::of(&run_mission(&MissionConfig {
-                timing_cache: Some(recording.clone()),
-                ..base.clone()
-            }));
-            assert!(!recording.is_empty(), "cold run should record entries");
-            recording.persist().expect("cache file writes");
+        let recording = SharedTimingCache::load(&path);
+        let populated = MissionDigest::of(&run_mission(&MissionConfig {
+            timing_cache: Some(recording.clone()),
+            ..base.clone()
+        }));
+        assert!(!recording.is_empty(), "cold run should record entries");
+        recording.persist().expect("cache file writes");
 
-            let reloaded = SharedTimingCache::load(&path);
-            assert_eq!(reloaded.len(), recording.len());
-            let warm = MissionDigest::of(&run_mission(&MissionConfig {
-                timing_cache: Some(reloaded.clone()),
-                ..base
-            }));
-            let (hits, _) = reloaded.counters();
-            assert!(hits > 0, "warm run should replay cached entries");
+        let reloaded = SharedTimingCache::load(&path);
+        assert_eq!(reloaded.len(), recording.len());
+        let warm = MissionDigest::of(&run_mission(&MissionConfig {
+            timing_cache: Some(reloaded.clone()),
+            ..base
+        }));
+        let (hits, _) = reloaded.counters();
+        assert!(hits > 0, "warm run should replay cached entries");
 
-            assert_eq!(cold, populated, "recording must not perturb ({mode:?})");
-            assert_eq!(cold, warm, "replay must not perturb ({mode:?})");
-        }
+        assert_eq!(cold, populated, "recording must not perturb");
+        assert_eq!(cold, warm, "replay must not perturb");
         let _ = std::fs::remove_file(&path);
     }
 

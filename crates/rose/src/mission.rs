@@ -14,8 +14,8 @@ use crate::rtlside::SocRtl;
 use parking_lot::Mutex;
 use rose_bridge::faults::{FaultPlan, FaultStats, FaultyTransport};
 use rose_bridge::sync::{
-    serve_rtl, RecoveryPolicy, RecoveryStats, RemoteRtl, SyncConfig, SyncMode, SyncStats,
-    SyncTelemetry, Synchronizer,
+    serve_rtl, RecoveryPolicy, RecoveryStats, RemoteRtl, SyncConfig, SyncStats, SyncTelemetry,
+    Synchronizer,
 };
 use rose_bridge::transport::ChannelTransport;
 use rose_dnn::DnnModel;
@@ -29,10 +29,25 @@ use rose_sim_core::rng::SimRng;
 use rose_socsim::soc::SocStats;
 use rose_socsim::{Soc, SocConfig};
 use rose_trace::{
-    FlightRecorder, FlightSample, LogHistogram, MetricRegistry, Profiler, TraceClock, TraceLog,
-    Tracer,
+    FlightRecorder, FlightSample, LogHistogram, MetricRegistry, Phase, Profiler, TraceClock,
+    TraceLog, Tracer,
 };
 use std::sync::Arc;
+use std::time::Duration;
+
+/// The intra-period execution mode a mission configuration once selected.
+///
+/// Ignored: every mission runs its quanta on one thread (DESIGN.md §4a).
+/// The field survives because snapshots written before the executors were
+/// merged carry its byte — `Parallel` was their default — and both
+/// variants must keep decoding.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SyncMode {
+    /// The RTL grant, then the environment step, on one thread.
+    Sequential,
+    /// Formerly: the two on separate threads, joined at the boundary.
+    Parallel,
+}
 
 /// Full configuration of one mission.
 #[derive(Debug, Clone, PartialEq)]
@@ -52,9 +67,7 @@ pub struct MissionConfig {
     pub frame_hz: u32,
     /// Frames per synchronization period (granularity of Figures 15/16).
     pub frames_per_sync: u64,
-    /// Intra-period execution: run the SoC grant and the environment
-    /// frames concurrently ([`SyncMode::Parallel`], the default) or on one
-    /// thread. Unobservable to the simulated system either way.
+    /// Ignored; kept so older snapshots decode (see [`SyncMode`]).
     pub sync_mode: SyncMode,
     /// Deterministic seed for all stochastic components.
     pub seed: u64,
@@ -104,7 +117,7 @@ impl Default for MissionConfig {
             initial_yaw_deg: 0.0,
             frame_hz: 60,
             frames_per_sync: 1,
-            sync_mode: SyncMode::Parallel,
+            sync_mode: SyncMode::Sequential,
             seed: 0x0520_2306,
             max_sim_seconds: 90.0,
             gains: ControlGains::default(),
@@ -393,18 +406,20 @@ pub fn drive_mission(
     let mut postmortems = Vec::new();
     while sync.stats().syncs < max_syncs {
         let before = *sync.stats();
+        let profile_before = sync.profiler().clone();
         if sync.run_until(1, |env, _| env.sim().mission_complete()) == 0 {
             break; // mission complete or program halted
         }
         let after = *sync.stats();
+        let (env_wall, rtl_wall) = quantum_walls(&profile_before, sync.profiler());
         let sample = FlightSample {
             sync: after.syncs,
             sim_time_s: sync.env().sim().time(),
             collisions: sync.env().sim().collision_count() as u64,
             deadline_misses: metrics.lock().deadline_misses,
             queue_depth: after.data_to_env - before.data_to_env,
-            env_wall_us: (after.env_wall - before.env_wall).as_secs_f64() * 1e6,
-            rtl_wall_us: (after.rtl_wall - before.rtl_wall).as_secs_f64() * 1e6,
+            env_wall_us: env_wall.as_secs_f64() * 1e6,
+            rtl_wall_us: rtl_wall.as_secs_f64() * 1e6,
             // In-process RTL: no transport, so never a fault and never
             // recovery work.
             fault: false,
@@ -429,6 +444,15 @@ pub fn drive_mission(
         }
     }
     postmortems
+}
+
+/// The environment and RTL halves of the host wall time a synchronizer's
+/// profile gained since `before`. The RTL half is the whole grant, its
+/// recovery and cost-model carve-outs included.
+pub fn quantum_walls(before: &Profiler, after: &Profiler) -> (Duration, Duration) {
+    let gained = |phase| after.total(phase) - before.total(phase);
+    let rtl = gained(Phase::RtlGrant) + gained(Phase::Recovery) + gained(Phase::CostModel);
+    (gained(Phase::EnvStep), rtl)
 }
 
 /// Constructs the full co-simulation for `config` without running it
@@ -522,7 +546,7 @@ pub fn mission_parts_with_program(
     let rtl = SocRtl::new(soc);
 
     let ratio = SyncRatio::new(config.soc.clock, FrameSpec::from_hz(config.frame_hz));
-    let sync_config = SyncConfig::new(ratio, config.frames_per_sync).with_mode(config.sync_mode);
+    let sync_config = SyncConfig::new(ratio, config.frames_per_sync);
     (env, rtl, sync_config)
 }
 
@@ -675,8 +699,6 @@ pub struct FaultedMissionReport {
 /// exhausted policy latches, winding the mission down at the last
 /// completed sync boundary.
 pub fn run_mission_with_faults(config: &MissionConfig, plan: FaultPlan) -> FaultedMissionReport {
-    use rose_trace::Phase;
-
     let (env, rtl, sync_config, metrics) = mission_parts(config);
     let (client, mut server) = ChannelTransport::pair();
     let server_thread = std::thread::spawn(move || {
@@ -696,17 +718,19 @@ pub fn run_mission_with_faults(config: &MissionConfig, plan: FaultPlan) -> Fault
     let mut aborted = false;
     while sync.stats().syncs < max_syncs {
         let before = *sync.stats();
-        let recovery_before = sync.profiler().total(Phase::Recovery);
+        let profile_before = sync.profiler().clone();
+        let recovery_before = profile_before.total(Phase::Recovery);
         let ran = sync.run_until(1, |env, _| env.sim().mission_complete());
         let after = *sync.stats();
+        let (env_wall, rtl_wall) = quantum_walls(&profile_before, sync.profiler());
         let sample = FlightSample {
             sync: after.syncs,
             sim_time_s: sync.env().sim().time(),
             collisions: sync.env().sim().collision_count() as u64,
             deadline_misses: metrics.lock().deadline_misses,
             queue_depth: after.data_to_env - before.data_to_env,
-            env_wall_us: (after.env_wall - before.env_wall).as_secs_f64() * 1e6,
-            rtl_wall_us: (after.rtl_wall - before.rtl_wall).as_secs_f64() * 1e6,
+            env_wall_us: env_wall.as_secs_f64() * 1e6,
+            rtl_wall_us: rtl_wall.as_secs_f64() * 1e6,
             fault: sync.rtl().fault().is_some(),
             recovery_retries: sync.rtl().recovery_stats().retries,
             recovery_us: (sync.profiler().total(Phase::Recovery) - recovery_before)

@@ -7,9 +7,8 @@
 //! in-flight program position), the bridge queues, the synchronizer
 //! position, and every component's trace prefix. Resuming a snapshot and
 //! running to completion produces a [`crate::audit::MissionDigest`]
-//! **bit-identical** to the straight run — under both
-//! [`SyncMode::Sequential`] and [`SyncMode::Parallel`] — which is the
-//! correctness gate the determinism auditor enforces.
+//! **bit-identical** to the straight run, which is the correctness gate
+//! the determinism auditor enforces.
 //!
 //! # Format
 //!
@@ -32,9 +31,6 @@
 //! *once*, [`Mission::snapshot`] it, and [`Mission::fork`] one branch
 //! per sweep point, perturbing each branch (initial yaw, gains) before
 //! running it to completion.
-//!
-//! [`SyncMode::Sequential`]: rose_bridge::sync::SyncMode::Sequential
-//! [`SyncMode::Parallel`]: rose_bridge::sync::SyncMode::Parallel
 
 use crate::app::AppMetrics;
 use crate::envside::CoSimEnv;
@@ -249,13 +245,12 @@ mod tests {
     use super::*;
     use crate::audit::MissionDigest;
     use crate::mission::run_mission;
-    use rose_bridge::sync::SyncMode;
+    use crate::mission::SyncMode;
 
-    fn short(sync_mode: SyncMode) -> MissionConfig {
+    fn short() -> MissionConfig {
         MissionConfig {
             max_sim_seconds: 2.0,
             trace: true,
-            sync_mode,
             ..MissionConfig::default()
         }
     }
@@ -269,8 +264,8 @@ mod tests {
     }
 
     #[test]
-    fn resume_is_bit_identical_sequential() {
-        let config = short(SyncMode::Sequential);
+    fn resume_is_bit_identical() {
+        let config = short();
         let straight = MissionDigest::of(&run_mission(&config));
         for boundary in [0, 1, 17, 60] {
             assert_eq!(
@@ -281,22 +276,30 @@ mod tests {
         }
     }
 
+    /// Snapshots from before the executors were merged carry a
+    /// `sync_mode` byte of `Parallel`, their default. They still decode,
+    /// and resume to the straight run's digest: the mode is ignored.
     #[test]
-    fn resume_is_bit_identical_parallel() {
-        let config = short(SyncMode::Parallel);
-        let straight = MissionDigest::of(&run_mission(&config));
-        for boundary in [0, 1, 17, 60] {
-            assert_eq!(
-                digest_of_resumed(&config, boundary),
-                straight,
-                "divergence after snapshot at sync {boundary}"
-            );
-        }
+    fn parallel_mode_snapshot_resumes_to_the_straight_digest() {
+        let legacy = MissionConfig {
+            sync_mode: SyncMode::Parallel,
+            ..short()
+        };
+        let mut mission = Mission::start(&legacy);
+        mission.run_syncs(17);
+        let snap = mission.snapshot();
+        let decoded = snap.config().expect("config decodes");
+        assert_eq!(decoded.sync_mode, SyncMode::Parallel);
+        let resumed = snap.resume().expect("snapshot must resume");
+        assert_eq!(
+            MissionDigest::of(&resumed.run_to_completion()),
+            MissionDigest::of(&run_mission(&short()))
+        );
     }
 
     #[test]
     fn snapshot_roundtrips_byte_identically() {
-        let config = short(SyncMode::Sequential);
+        let config = short();
         let mut mission = Mission::start(&config);
         mission.run_syncs(25);
         let first = mission.snapshot();
@@ -311,7 +314,7 @@ mod tests {
 
     #[test]
     fn snapshot_config_decodes_without_resume() {
-        let config = short(SyncMode::Parallel);
+        let config = short();
         let mission = Mission::start(&config);
         let snap = mission.snapshot();
         assert_eq!(snap.config().expect("config decodes"), config);
@@ -319,7 +322,7 @@ mod tests {
 
     #[test]
     fn forked_branches_run_independently() {
-        let config = short(SyncMode::Sequential);
+        let config = short();
         let mut mission = Mission::start(&config);
         mission.run_syncs(20);
         let branches = mission.fork(2).expect("fork");
@@ -342,7 +345,7 @@ mod tests {
 
     #[test]
     fn forked_branch_registries_combine_without_double_counting() {
-        let config = short(SyncMode::Sequential);
+        let config = short();
         let straight = run_mission(&config).metric_registry();
 
         let mut mission = Mission::start(&config);
@@ -407,7 +410,7 @@ mod tests {
 
     #[test]
     fn corrupt_snapshots_are_rejected() {
-        let config = short(SyncMode::Sequential);
+        let config = short();
         let mission = Mission::start(&config);
         let snap = mission.snapshot();
 

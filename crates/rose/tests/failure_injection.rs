@@ -5,7 +5,7 @@
 //!
 //! * recoverable faults (duplicates, stalls, transient disconnects) are
 //!   absorbed by the sequenced retry protocol — the flight is
-//!   bit-identical to a clean run, under both sync modes;
+//!   bit-identical to a clean run;
 //! * lossy faults (drops, corruption) cost the application a degraded
 //!   iteration via the RX watchdog and the degradation ladder, but the
 //!   mission still completes, deterministically;
@@ -18,66 +18,55 @@ use rose::audit::MissionDigest;
 use rose::mission::{run_mission, run_mission_with_faults, MissionConfig};
 use rose::snapshot::Mission;
 use rose_bridge::faults::{FaultKind, FaultPlan};
-use rose_bridge::sync::{RecoveryPolicy, SyncMode};
+use rose_bridge::sync::RecoveryPolicy;
 use rose_sim_core::math::Vec3;
 use rose_trace::json;
 
 /// A mission short enough for CI but long enough to reach the goal
 /// (50 m at 3 m/s ≈ 17.6 s simulated).
-fn completing(sync_mode: SyncMode) -> MissionConfig {
+fn completing() -> MissionConfig {
     MissionConfig {
         max_sim_seconds: 25.0,
-        sync_mode,
         ..MissionConfig::default()
     }
 }
 
 #[test]
-fn recoverable_faults_are_absorbed_bit_identically_in_both_sync_modes() {
+fn recoverable_faults_are_absorbed_bit_identically() {
     // Only kinds the retry protocol makes transparent: duplicated data is
     // deduplicated by sequence number, stalled receives and a transient
     // mid-flight disconnect are retried/resynced.
-    let plan = || {
-        FaultPlan::new(0xFA17)
-            .with_event(180, FaultKind::Duplicate)
-            .with_event(360, FaultKind::Stall { ops: 2 })
-            .with_event(450, FaultKind::Disconnect { ops: 2 })
-    };
-    let clean = MissionDigest::of(&run_mission(&completing(SyncMode::Sequential)));
+    let plan = FaultPlan::new(0xFA17)
+        .with_event(180, FaultKind::Duplicate)
+        .with_event(360, FaultKind::Stall { ops: 2 })
+        .with_event(450, FaultKind::Disconnect { ops: 2 });
+    let clean = MissionDigest::of(&run_mission(&completing()));
 
-    let mut digests = Vec::new();
-    for sync_mode in [SyncMode::Sequential, SyncMode::Parallel] {
-        let outcome = run_mission_with_faults(&completing(sync_mode), plan());
-        assert_eq!(
-            outcome.latched, None,
-            "{sync_mode:?}: transient faults must not latch"
-        );
-        assert!(!outcome.aborted, "{sync_mode:?}: no degradation armed");
-        assert!(
-            outcome.report.completed,
-            "{sync_mode:?}: the mission must still reach the goal"
-        );
-        let stats = outcome.fault_stats;
-        assert_eq!(stats.duplicated, 1);
-        assert!(stats.stalled_ops >= 1);
-        assert!(stats.disconnected_ops >= 1);
-        // Absorbing the faults cost retries, attributed on the host side —
-        // never to the simulated system.
-        assert!(
-            outcome.recovery.retries >= 1,
-            "{sync_mode:?}: recovery must have retried, stats {:?}",
-            outcome.recovery
-        );
-        assert_eq!(outcome.report.app.lost_responses, 0);
-        digests.push(MissionDigest::of(&outcome.report));
-    }
+    let outcome = run_mission_with_faults(&completing(), plan);
+    assert_eq!(outcome.latched, None, "transient faults must not latch");
+    assert!(!outcome.aborted, "no degradation armed");
+    assert!(
+        outcome.report.completed,
+        "the mission must still reach the goal"
+    );
+    let stats = outcome.fault_stats;
+    assert_eq!(stats.duplicated, 1);
+    assert!(stats.stalled_ops >= 1);
+    assert!(stats.disconnected_ops >= 1);
+    // Absorbing the faults cost retries, attributed on the host side —
+    // never to the simulated system.
+    assert!(
+        outcome.recovery.retries >= 1,
+        "recovery must have retried, stats {:?}",
+        outcome.recovery
+    );
+    assert_eq!(outcome.report.app.lost_responses, 0);
 
-    // Same seed ⇒ bit-identical flight across sync modes, and identical
-    // to the fault-free run: recoverable faults are unobservable to the
-    // simulated system.
-    assert_eq!(digests[0], digests[1], "sync modes diverged under faults");
+    // Identical to the fault-free run: recoverable faults are
+    // unobservable to the simulated system.
     assert_eq!(
-        digests[0], clean,
+        MissionDigest::of(&outcome.report),
+        clean,
         "fault absorption perturbed the simulated mission"
     );
 }
@@ -98,32 +87,27 @@ fn lossy_faults_degrade_deterministically_and_the_mission_still_completes() {
             .with_event(450, FaultKind::Disconnect { ops: 2 })
     };
 
-    let mut digests = Vec::new();
-    for sync_mode in [SyncMode::Sequential, SyncMode::Parallel] {
-        let outcome = run_mission_with_faults(&completing(sync_mode), plan());
-        assert_eq!(outcome.latched, None, "{sync_mode:?}");
-        assert!(
-            outcome.report.completed,
-            "{sync_mode:?}: a lost packet must degrade, not wedge"
-        );
-        let stats = outcome.fault_stats;
-        assert_eq!(stats.dropped, 1);
-        assert_eq!(stats.corrupted, 1);
-        // The dropped response tripped the watchdog exactly once.
-        assert_eq!(
-            outcome.report.app.lost_responses, 1,
-            "{sync_mode:?}: app metrics {:?}",
-            outcome.report.app
-        );
-        digests.push(MissionDigest::of(&outcome.report));
-    }
-    assert_eq!(digests[0], digests[1], "sync modes diverged under faults");
+    let outcome = run_mission_with_faults(&completing(), plan());
+    assert_eq!(outcome.latched, None);
+    assert!(
+        outcome.report.completed,
+        "a lost packet must degrade, not wedge"
+    );
+    let stats = outcome.fault_stats;
+    assert_eq!(stats.dropped, 1);
+    assert_eq!(stats.corrupted, 1);
+    // The dropped response tripped the watchdog exactly once.
+    assert_eq!(
+        outcome.report.app.lost_responses, 1,
+        "app metrics {:?}",
+        outcome.report.app
+    );
 
     // And the perturbed flight is repeatable run-to-run.
-    let again = run_mission_with_faults(&completing(SyncMode::Parallel), plan());
+    let again = run_mission_with_faults(&completing(), plan());
     assert_eq!(
         MissionDigest::of(&again.report),
-        digests[1],
+        MissionDigest::of(&outcome.report),
         "same plan, same seed, different flight"
     );
 }
@@ -170,11 +154,10 @@ fn exhausted_recovery_latches_and_winds_down_cleanly() {
 
 /// A config whose sensors degrade mid-flight: a depth blackout window and
 /// an IMU bias step, with tracing on so the digest covers event ordering.
-fn degraded(sync_mode: SyncMode) -> MissionConfig {
+fn degraded() -> MissionConfig {
     MissionConfig {
         max_sim_seconds: 2.0,
         trace: true,
-        sync_mode,
         depth_blackouts: vec![(0.5, 0.9)],
         imu_bias_steps: vec![(0.3, Vec3::new(0.02, -0.01, 0.0))],
         controller: rose::app::ControllerChoice::dynamic_default(),
@@ -184,20 +167,18 @@ fn degraded(sync_mode: SyncMode) -> MissionConfig {
 
 #[test]
 fn degraded_mission_survives_snapshot_and_resume_bit_identically() {
-    for sync_mode in [SyncMode::Sequential, SyncMode::Parallel] {
-        let config = degraded(sync_mode);
-        let straight = MissionDigest::of(&run_mission(&config));
-        // Boundaries before, inside, and after the blackout window.
-        for boundary in [1, 40, 70] {
-            let mut mission = Mission::start(&config);
-            mission.run_syncs(boundary);
-            let resumed = mission.snapshot().resume().expect("snapshot must resume");
-            assert_eq!(
-                MissionDigest::of(&resumed.run_to_completion()),
-                straight,
-                "{sync_mode:?}: divergence after snapshot at sync {boundary}"
-            );
-        }
+    let config = degraded();
+    let straight = MissionDigest::of(&run_mission(&config));
+    // Boundaries before, inside, and after the blackout window.
+    for boundary in [1, 40, 70] {
+        let mut mission = Mission::start(&config);
+        mission.run_syncs(boundary);
+        let resumed = mission.snapshot().resume().expect("snapshot must resume");
+        assert_eq!(
+            MissionDigest::of(&resumed.run_to_completion()),
+            straight,
+            "divergence after snapshot at sync {boundary}"
+        );
     }
 }
 

@@ -215,10 +215,10 @@ impl Inner {
 }
 
 /// A cloneable, thread-safe handle to one timing cache, shared by every
-/// mission of a sweep (clones share storage). Parallel-sync missions and
-/// multi-threaded sweeps hit it concurrently, hence the mutex; the lock
-/// is only taken on *in-memory-cache misses*, which happen a handful of
-/// times per mission.
+/// mission of a sweep (clones share storage). Multi-threaded sweeps and
+/// transport-served SoCs hit it from several threads, hence the mutex;
+/// the lock is only taken on *in-memory-cache misses*, which happen a
+/// handful of times per mission.
 #[derive(Debug, Clone)]
 pub struct SharedTimingCache {
     path: Option<PathBuf>,

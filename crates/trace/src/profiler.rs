@@ -13,10 +13,10 @@
 //! determinism digest or a mission snapshot (DESIGN.md §4d/§4f) — the
 //! same contract the sync-quantum span args already follow. To keep that
 //! auditable, the `PROF001` lint flags every direct `std::time::Instant`
-//! / `SystemTime` read outside this module and the synchronizer's
-//! whitelisted wall-time stats: all other wall-clock sampling funnels
-//! through [`Stopwatch`] / [`Profiler::time`], which are digest-excluded
-//! by construction.
+//! / `SystemTime` read outside this module: all wall-clock sampling, the
+//! synchronizer's per-quantum laps included, funnels through
+//! [`Stopwatch`] / [`Profiler::time`], which are digest-excluded by
+//! construction.
 
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -93,8 +93,8 @@ impl Phase {
 }
 
 /// A started wall-clock measurement. The **only** sanctioned way (along
-/// with [`Profiler::time`]) to read host time outside the synchronizer's
-/// whitelisted stats — see the module docs and the `PROF001` lint.
+/// with [`Profiler::time`]) to read host time — see the module docs and
+/// the `PROF001` lint.
 #[derive(Debug, Clone, Copy)]
 pub struct Stopwatch(Instant);
 
@@ -107,6 +107,16 @@ impl Stopwatch {
     /// Wall time elapsed since [`start`](Stopwatch::start).
     pub fn elapsed(&self) -> Duration {
         self.0.elapsed()
+    }
+
+    /// Wall time since the previous lap (or the start), restarting the
+    /// measurement. Consecutive laps tile the interval they cover: their
+    /// sum is exactly the time from the start to the last lap.
+    pub fn lap(&mut self) -> Duration {
+        let now = Instant::now();
+        let lap = now - self.0;
+        self.0 = now;
+        lap
     }
 }
 
@@ -245,6 +255,17 @@ mod tests {
         let out = p.time(Phase::SnapshotCodec, || 41 + 1);
         assert_eq!(out, 42);
         assert_eq!(p.count(Phase::SnapshotCodec), 1);
+    }
+
+    #[test]
+    fn laps_restart_the_stopwatch() {
+        let mut sw = Stopwatch::start();
+        std::thread::sleep(Duration::from_millis(20));
+        let first = sw.lap();
+        assert!(first >= Duration::from_millis(20));
+        // The lap restarted the measurement: what follows no longer
+        // includes the interval the first lap already reported.
+        assert!(sw.elapsed() < first);
     }
 
     #[test]
