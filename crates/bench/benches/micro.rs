@@ -145,6 +145,21 @@ fn bench_cost_model(c: &mut Criterion) {
             black_box(g.matmul(192, 192, 192, &mut m))
         })
     });
+    // The per-hit cost of a kernel replay: hash the hierarchy's flat state
+    // to find the entry, then copy the recorded image back into place.
+    group.bench_function("replay_primitives", |b| {
+        let mut m = MemSystem::new(MemConfig::default());
+        for i in 0..16384u64 {
+            m.access(i.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 42, i % 3 == 0);
+        }
+        let image = m.image();
+        b.iter(|| {
+            let ctx = m.context_hash(black_box(0x5eed));
+            m.restore_image(black_box(&image))
+                .expect("same-geometry image");
+            black_box(ctx)
+        })
+    });
     // Disk round trip: what a warm sweep pays once at startup to skip
     // every cold expansion above.
     group.bench_function("timing_cache_load", |b| {

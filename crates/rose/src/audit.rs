@@ -247,8 +247,9 @@ mod tests {
             timing_cache: Some(reloaded.clone()),
             ..base
         }));
-        let (hits, _) = reloaded.counters();
+        let (hits, misses) = reloaded.counters();
         assert!(hits > 0, "warm run should replay cached entries");
+        assert_eq!(misses, 0, "warm run should find every entry it needs");
 
         assert_eq!(cold, populated, "recording must not perturb");
         assert_eq!(cold, warm, "replay must not perturb");

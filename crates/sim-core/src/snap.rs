@@ -157,6 +157,11 @@ impl SnapWriter {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
+    /// Writes a little-endian `u128`.
+    pub fn u128(&mut self, v: u128) {
+        self.buf.extend_from_slice(&v.to_le_bytes());
+    }
+
     /// Writes a little-endian `i64`.
     pub fn i64(&mut self, v: i64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
@@ -324,6 +329,17 @@ impl<'a> SnapReader<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("len 8")))
     }
 
+    /// Reads a little-endian `u128`.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapError::Truncated`] if the buffer is exhausted.
+    pub fn u128(&mut self) -> Result<u128, SnapError> {
+        let mut v = [0u8; 16];
+        v.copy_from_slice(self.take(16)?);
+        Ok(u128::from_le_bytes(v))
+    }
+
     /// Reads a little-endian `i64`.
     ///
     /// # Errors
@@ -382,6 +398,17 @@ impl<'a> SnapReader<'a> {
     /// [`SnapError::BadLength`] if the prefix exceeds the buffer,
     /// [`SnapError::Truncated`] on exhaustion.
     pub fn bytes(&mut self) -> Result<Vec<u8>, SnapError> {
+        let range = self.byte_range()?;
+        Ok(self.buf[range].to_vec())
+    }
+
+    /// Reads a length-prefixed byte string without copying it: returns
+    /// where the string sits in the reader's buffer.
+    ///
+    /// # Errors
+    ///
+    /// As [`SnapReader::bytes`].
+    pub fn byte_range(&mut self) -> Result<std::ops::Range<usize>, SnapError> {
         let len = self.u64()?;
         if len > self.remaining() as u64 {
             return Err(SnapError::BadLength {
@@ -389,7 +416,9 @@ impl<'a> SnapReader<'a> {
                 available: self.remaining(),
             });
         }
-        Ok(self.take(len as usize)?.to_vec())
+        let start = self.pos;
+        self.take(len as usize)?;
+        Ok(start..self.pos)
     }
 
     /// Reads a length-prefixed UTF-8 string.

@@ -86,12 +86,26 @@ impl CacheStats {
     }
 }
 
+/// Dirty flag of a resident line word; the low 63 bits hold the tag.
+const DIRTY: u64 = 1 << 63;
+
 /// A set-associative, write-back, write-allocate cache with LRU replacement.
+///
+/// The contents live in two flat arrays so the memory-hierarchy state can
+/// be hashed and imaged in place ([`MemSystem::context_hash`],
+/// [`MemSystem::image`]). Slots past a set's resident count are kept zero,
+/// which makes both arrays a canonical function of the logical state.
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    /// For each set, the resident tags ordered most- to least-recently used.
-    sets: Vec<Vec<(u64, bool)>>, // (tag, dirty)
+    /// `sets × ways` line words, each set ordered most- to least-recently
+    /// used: the tag, with [`DIRTY`] set for a dirty line. Left empty (and
+    /// read as all zeros) until the first line is installed or restored, so
+    /// building an SoC touches none of its tens of KiB: in a fresh process
+    /// each touched page is a fault, paid before the first quantum.
+    lines: Vec<u64>,
+    /// Resident lines per set.
+    counts: Vec<u8>,
     stats: CacheStats,
     set_mask: u64,
     line_shift: u32,
@@ -106,12 +120,24 @@ impl Cache {
             config.line_bytes.is_power_of_two(),
             "line size must be a power of two"
         );
+        assert!(
+            config.ways <= usize::from(u8::MAX),
+            "associativity must fit a u8 resident count"
+        );
+        let line_shift = config.line_bytes.trailing_zeros();
+        // The tag keeps at most 64 - line_shift - set bits, so bit 63 is
+        // free for the dirty flag unless a set-less cache has 1-byte lines.
+        assert!(
+            line_shift + sets.trailing_zeros() >= 1,
+            "tags must leave bit 63 free for the dirty flag"
+        );
         Cache {
             config,
-            sets: vec![Vec::with_capacity(config.ways); sets],
+            lines: Vec::new(),
+            counts: vec![0; sets],
             stats: CacheStats::default(),
             set_mask: (sets - 1) as u64,
-            line_shift: config.line_bytes.trailing_zeros(),
+            line_shift,
         }
     }
 
@@ -130,37 +156,63 @@ impl Cache {
         self.stats = CacheStats::default();
     }
 
+    /// Line slots across all sets.
+    fn n_lines(&self) -> usize {
+        self.counts.len() * self.config.ways
+    }
+
+    /// Allocates the (zeroed) line array if nothing was installed yet.
+    fn ensure_lines(&mut self) {
+        if self.lines.is_empty() {
+            self.lines = vec![0; self.n_lines()];
+        }
+    }
+
+    /// The set index and tag of the line holding `addr`.
+    fn locate(&self, addr: u64) -> (usize, u64) {
+        let line = addr >> self.line_shift;
+        (
+            (line & self.set_mask) as usize,
+            line >> self.set_mask.count_ones(),
+        )
+    }
+
     /// Performs one access; returns `true` on a hit. On a miss the line is
     /// installed, possibly writing back a dirty victim.
     pub fn access(&mut self, addr: u64, write: bool) -> bool {
-        let line = addr >> self.line_shift;
-        let set_idx = (line & self.set_mask) as usize;
-        let tag = line >> self.set_mask.count_ones();
-        let set = &mut self.sets[set_idx];
+        let (set_idx, tag) = self.locate(addr);
+        let ways = self.config.ways;
+        let n = usize::from(self.counts[set_idx]);
+        self.ensure_lines();
+        let set = &mut self.lines[set_idx * ways..(set_idx + 1) * ways];
+        let dirty = if write { DIRTY } else { 0 };
 
-        if let Some(pos) = set.iter().position(|&(t, _)| t == tag) {
-            let (t, dirty) = set.remove(pos);
-            set.insert(0, (t, dirty || write));
+        if let Some(pos) = set[..n].iter().position(|&l| l & !DIRTY == tag) {
+            let hit = set[pos] | dirty;
+            set.copy_within(..pos, 1);
+            set[0] = hit;
             self.stats.hits += 1;
             return true;
         }
         self.stats.misses += 1;
-        if set.len() == self.config.ways {
-            // rose-lint: allow(PANIC002, guarded by set.len() == ways with ways >= 1)
-            let (_, dirty) = set.pop().expect("nonempty set");
-            if dirty {
+        if n == ways {
+            if set[ways - 1] & DIRTY != 0 {
                 self.stats.writebacks += 1;
             }
+        } else {
+            self.counts[set_idx] += 1;
         }
-        set.insert(0, (tag, write));
+        // Shift the residents down one slot (dropping the LRU victim of a
+        // full set) and install the new line as MRU.
+        set.copy_within(..n.min(ways - 1), 1);
+        set[0] = tag | dirty;
         false
     }
 
     /// Invalidates all contents (e.g. after DMA writes to memory).
     pub fn flush(&mut self) {
-        for set in &mut self.sets {
-            set.clear();
-        }
+        self.lines.fill(0);
+        self.counts.fill(0);
     }
 
     /// Accounts `count` repeat hits on the line holding `addr`, which must
@@ -170,15 +222,14 @@ impl Cache {
     /// already-MRU line, so this is bit-identical to `count` calls of
     /// [`Cache::access`] with no interleaved traffic.
     pub(crate) fn repeat_mru_hits(&mut self, addr: u64, count: u64, write: bool) {
-        let line = addr >> self.line_shift;
-        let set_idx = (line & self.set_mask) as usize;
-        let tag = line >> self.set_mask.count_ones();
-        let set = &mut self.sets[set_idx];
-        debug_assert_eq!(set.first().map(|&(t, _)| t), Some(tag), "line not MRU");
+        let (set_idx, tag) = self.locate(addr);
+        let mru = &mut self.lines[set_idx * self.config.ways];
+        debug_assert!(
+            self.counts[set_idx] > 0 && *mru & !DIRTY == tag,
+            "line not MRU"
+        );
         if write {
-            if let Some(front) = set.first_mut() {
-                front.1 = true;
-            }
+            *mru |= DIRTY;
         }
         self.stats.hits += count;
     }
@@ -192,22 +243,33 @@ impl Cache {
         self.stats.hits += count;
     }
 
+    /// The resident lines of each set, MRU first.
+    fn sets(&self) -> impl Iterator<Item = &[u64]> {
+        let ways = self.config.ways;
+        self.counts.iter().enumerate().map(move |(i, &n)| {
+            // Every count is zero while `lines` is unallocated.
+            let start = i * ways;
+            self.lines.get(start..start + usize::from(n)).unwrap_or(&[])
+        })
+    }
+
     /// Serializes contents (tags in LRU order, dirty bits) and counters.
     /// Geometry (`set_mask`, `line_shift`) is structural.
     pub fn save_state(&self, w: &mut SnapWriter) {
         let Cache {
             config: _,
-            sets,
+            lines: _,
+            counts,
             stats,
             set_mask: _,
             line_shift: _,
         } = self;
-        w.usize(sets.len());
-        for set in sets {
+        w.usize(counts.len());
+        for set in self.sets() {
             w.usize(set.len());
-            for &(tag, dirty) in set {
-                w.u64(tag);
-                w.bool(dirty);
+            for &line in set {
+                w.u64(line & !DIRTY);
+                w.bool(line & DIRTY != 0);
             }
         }
         w.u64(stats.hits);
@@ -220,34 +282,166 @@ impl Cache {
     /// # Errors
     ///
     /// Propagates [`SnapError`] on a malformed snapshot, including a set
-    /// count or associativity that does not match this cache's geometry.
+    /// count or associativity that does not match this cache's geometry,
+    /// or a tag that overlaps the dirty flag.
     pub fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let ways = self.config.ways;
         let n_sets = r.usize()?;
-        if n_sets != self.sets.len() {
+        if n_sets != self.counts.len() {
             return Err(SnapError::BadLength {
                 len: n_sets as u64,
-                available: self.sets.len(),
+                available: self.counts.len(),
             });
         }
-        for set in &mut self.sets {
+        self.ensure_lines();
+        for (set, count) in self.lines.chunks_exact_mut(ways).zip(&mut self.counts) {
             let n = r.usize()?;
-            if n > self.config.ways {
+            if n > ways {
                 return Err(SnapError::BadLength {
                     len: n as u64,
-                    available: self.config.ways,
+                    available: ways,
                 });
             }
-            set.clear();
-            for _ in 0..n {
+            for slot in &mut set[..n] {
                 let tag = r.u64()?;
-                let dirty = r.bool()?;
-                set.push((tag, dirty));
+                if tag & DIRTY != 0 {
+                    return Err(SnapError::BadTag {
+                        context: "Cache tag overlaps the dirty flag",
+                        tag: 1,
+                    });
+                }
+                *slot = if r.bool()? { tag | DIRTY } else { tag };
             }
+            set[n..].fill(0);
+            // Cannot truncate: `ways` fits a u8 (checked in `Cache::new`).
+            *count = n as u8;
         }
         self.stats.hits = r.u64()?;
         self.stats.misses = r.u64()?;
         self.stats.writebacks = r.u64()?;
         Ok(())
+    }
+
+    /// Folds the contents and counters into `h`, reading the arrays where
+    /// they sit.
+    fn hash_into(&self, h: &mut ContextHasher) {
+        if self.lines.is_empty() {
+            h.zeros(self.n_lines());
+        } else {
+            h.words(&self.lines);
+        }
+        h.bytes(&self.counts);
+        h.words(&[self.stats.hits, self.stats.misses, self.stats.writebacks]);
+    }
+
+    /// Bytes [`Cache::write_image`] emits for this geometry.
+    fn image_len(&self) -> usize {
+        8 * (self.n_lines() + 3) + self.counts.len()
+    }
+
+    /// Appends the contents and counters as little-endian words, then the
+    /// resident counts as bytes.
+    fn write_image(&self, out: &mut Vec<u8>) {
+        if self.lines.is_empty() {
+            out.resize(out.len() + 8 * self.n_lines(), 0);
+        }
+        for &word in &self.lines {
+            out.extend_from_slice(&word.to_le_bytes());
+        }
+        for word in [self.stats.hits, self.stats.misses, self.stats.writebacks] {
+            out.extend_from_slice(&word.to_le_bytes());
+        }
+        out.extend_from_slice(&self.counts);
+    }
+
+    /// Copies in an image of exactly [`Cache::image_len`] bytes whose
+    /// resident counts have already been checked against `ways`.
+    fn read_image(&mut self, image: &[u8]) {
+        self.ensure_lines();
+        let (lines, rest) = image.split_at(8 * self.n_lines());
+        let (stats, counts) = rest.split_at(8 * 3);
+        for (slot, chunk) in self.lines.iter_mut().zip(lines.chunks_exact(8)) {
+            *slot = le_word(chunk);
+        }
+        self.stats = CacheStats {
+            hits: le_word(&stats[..8]),
+            misses: le_word(&stats[8..16]),
+            writebacks: le_word(&stats[16..]),
+        };
+        self.counts.copy_from_slice(counts);
+    }
+
+    /// True when every resident count in `image`'s count tail fits this
+    /// cache's associativity (so an image can never index past a set).
+    fn image_counts_fit(&self, image: &[u8]) -> bool {
+        let counts = &image[8 * (self.n_lines() + 3)..];
+        counts.iter().all(|&n| usize::from(n) <= self.config.ways)
+    }
+}
+
+/// Decodes one little-endian word from an 8-byte chunk.
+fn le_word(chunk: &[u8]) -> u64 {
+    let mut word = [0u8; 8];
+    word.copy_from_slice(chunk);
+    u64::from_le_bytes(word)
+}
+
+/// The 128-bit expansion-context hash: two independent
+/// rotate-xor-multiply lanes advanced in one pass over the state's words.
+///
+/// One multiply per word per lane keeps hashing the ~70 KB hierarchy a
+/// few times cheaper than serializing it; the rotation feeds
+/// each word's high bits (the dirty flags live in bit 63) back into the
+/// low bits before the next multiply, which a plain multiply never does.
+/// A silent wrong replay needs both lanes to collide at once. The lane
+/// layout is a key format private to the timing cache file, guarded by
+/// [`crate::timing_cache::MODEL_VERSION`].
+struct ContextHasher {
+    a: u64,
+    b: u64,
+}
+
+impl ContextHasher {
+    const MUL_A: u64 = 0x9e37_79b9_7f4a_7c15;
+    const MUL_B: u64 = 0xc2b2_ae3d_27d4_eb4f;
+
+    fn new() -> ContextHasher {
+        ContextHasher {
+            a: 0xcbf2_9ce4_8422_2325,
+            b: 0x8422_2325_cbf2_9ce4,
+        }
+    }
+
+    fn words(&mut self, words: &[u64]) {
+        let (mut a, mut b) = (self.a, self.b);
+        for &w in words {
+            a = (a.rotate_left(23) ^ w).wrapping_mul(ContextHasher::MUL_A);
+            b = (b.rotate_left(41) ^ w).wrapping_mul(ContextHasher::MUL_B);
+        }
+        (self.a, self.b) = (a, b);
+    }
+
+    /// Folds `n` zero words: the words of a line array not yet allocated.
+    fn zeros(&mut self, n: usize) {
+        for _ in 0..n {
+            self.words(&[0]);
+        }
+    }
+
+    /// Folds bytes eight at a time, zero-padding the tail, then the length
+    /// (so a zero tail differs from a shorter array).
+    fn bytes(&mut self, bytes: &[u8]) {
+        let mut chunks = bytes.chunks_exact(8);
+        for chunk in &mut chunks {
+            self.words(&[le_word(chunk)]);
+        }
+        let mut tail = [0u8; 8];
+        tail[..chunks.remainder().len()].copy_from_slice(chunks.remainder());
+        self.words(&[u64::from_le_bytes(tail), bytes.len() as u64]);
+    }
+
+    fn finish(&self) -> u128 {
+        (u128::from(self.a) << 64) | u128::from(self.b)
     }
 }
 
@@ -472,6 +666,86 @@ impl MemSystem {
             *stream = r.u64()?;
         }
         self.prefetch_hits = r.u64()?;
+        Ok(())
+    }
+
+    /// The expansion context a CPU kernel runs in: a 128-bit hash of the
+    /// whole hierarchy state (both caches' line and count arrays and
+    /// counters, the bus, the prefetcher) and the branch-RNG position,
+    /// read where the arrays sit. Two expansions of one kernel under one
+    /// configuration with equal contexts are bit-identical.
+    pub fn context_hash(&self, branch_rng: u64) -> u128 {
+        let mut h = ContextHasher::new();
+        self.l1d.hash_into(&mut h);
+        self.l2.hash_into(&mut h);
+        h.words(&[
+            self.bus.dma_utilization.to_bits(),
+            self.bus.total_bytes,
+            self.prefetch_hits,
+            branch_rng,
+        ]);
+        h.words(&self.prefetch_streams);
+        h.finish()
+    }
+
+    /// Bytes [`MemSystem::image`] emits for this geometry.
+    fn image_len(&self) -> usize {
+        self.l1d.image_len() + self.l2.image_len() + 8 * 7
+    }
+
+    /// The complete hierarchy state as a flat image: each cache's line
+    /// words, counters and resident counts, then the bus, the prefetcher's
+    /// stream trackers and its hit counter, all little-endian. A fixed
+    /// length per geometry; the timing cache records it after a cold
+    /// kernel expansion.
+    pub fn image(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.image_len());
+        self.l1d.write_image(&mut out);
+        self.l2.write_image(&mut out);
+        let tail = [
+            self.bus.dma_utilization.to_bits(),
+            self.bus.total_bytes,
+            self.prefetch_hits,
+        ];
+        for word in tail.iter().chain(&self.prefetch_streams) {
+            out.extend_from_slice(&word.to_le_bytes());
+        }
+        out
+    }
+
+    /// Replaces the hierarchy state with an [`MemSystem::image`].
+    ///
+    /// # Errors
+    ///
+    /// [`SnapError::BadLength`] when the image does not have this
+    /// geometry's length, or a resident count exceeds the associativity.
+    /// The image is checked before any state is touched, so a refused
+    /// image leaves the hierarchy exactly as it was.
+    pub fn restore_image(&mut self, image: &[u8]) -> Result<(), SnapError> {
+        let expected = self.image_len();
+        if image.len() != expected {
+            return Err(SnapError::BadLength {
+                len: image.len() as u64,
+                available: expected,
+            });
+        }
+        let (l1, rest) = image.split_at(self.l1d.image_len());
+        let (l2, tail) = rest.split_at(self.l2.image_len());
+        if !self.l1d.image_counts_fit(l1) || !self.l2.image_counts_fit(l2) {
+            return Err(SnapError::BadLength {
+                len: image.len() as u64,
+                available: expected,
+            });
+        }
+        self.l1d.read_image(l1);
+        self.l2.read_image(l2);
+        let word = |i: usize| le_word(&tail[8 * i..8 * (i + 1)]);
+        self.bus.dma_utilization = f64::from_bits(word(0));
+        self.bus.total_bytes = word(1);
+        self.prefetch_hits = word(2);
+        for (i, stream) in self.prefetch_streams.iter_mut().enumerate() {
+            *stream = word(3 + i);
+        }
         Ok(())
     }
 
@@ -932,6 +1206,92 @@ mod analytic_tests {
             prop_assert_eq!(lats_fast, lats_slow);
             prop_assert_eq!(state_bytes(&fast), state_bytes(&slow));
         }
+    }
+
+    proptest! {
+        #[test]
+        fn context_and_image_survive_snapshot_round_trips(
+            sel in 0usize..4,
+            warm_seed in 0u64..u64::MAX,
+            util_pct in 0u64..90,
+            rng in 0u64..u64::MAX,
+        ) {
+            let m = warmed(sel, warm_seed, util_pct);
+            let saved = state_bytes(&m);
+            // A fresh hierarchy, and one whose sets hold more lines than
+            // the snapshot: restoring must leave no stale slot behind.
+            let mut fuller = MemSystem::new(config_from(sel));
+            for i in 0..4096u64 {
+                fuller.access(j_scatter(i ^ warm_seed) % (1 << 22), i % 2 == 0);
+            }
+            for mut target in [MemSystem::new(config_from(sel)), fuller] {
+                target.restore_state(&mut SnapReader::new(&saved)).unwrap();
+                prop_assert_eq!(target.context_hash(rng), m.context_hash(rng));
+                prop_assert_eq!(target.image(), m.image());
+            }
+            // The image restores the same logical state.
+            let mut replayed = MemSystem::new(config_from(sel));
+            replayed.restore_image(&m.image()).unwrap();
+            prop_assert_eq!(state_bytes(&replayed), saved);
+        }
+    }
+
+    #[test]
+    fn unallocated_lines_hash_and_image_as_zeros() {
+        // A fresh hierarchy allocates no line array; restoring its own
+        // (empty) snapshot allocates a zeroed one. Same logical state, so
+        // the same context and image.
+        let fresh = MemSystem::new(MemConfig::default());
+        let mut restored = MemSystem::new(MemConfig::default());
+        restored
+            .restore_state(&mut SnapReader::new(&state_bytes(&fresh)))
+            .unwrap();
+        assert!(fresh.l2.lines.is_empty() && !restored.l2.lines.is_empty());
+        assert_eq!(fresh.context_hash(9), restored.context_hash(9));
+        assert_eq!(fresh.image(), restored.image());
+    }
+
+    #[test]
+    fn context_hash_sees_swapped_dirty_bits_and_rng() {
+        // Two resident lines in different sets; the variants differ only
+        // in which of them is dirty (bit 63 of two line words), which a
+        // multiply-only lane hash cannot tell apart.
+        let (x, y) = (0x4000_0000, 0x4000_0040);
+        let mut base = warmed(0, 7, 0);
+        base.access(x, false);
+        base.access(y, false);
+        let mut x_dirty = base.clone();
+        x_dirty.access(x, true);
+        x_dirty.access(y, false);
+        let mut y_dirty = base.clone();
+        y_dirty.access(x, false);
+        y_dirty.access(y, true);
+        assert_ne!(state_bytes(&x_dirty), state_bytes(&y_dirty));
+        assert_ne!(x_dirty.context_hash(1), y_dirty.context_hash(1));
+        assert_ne!(base.context_hash(1), base.context_hash(2));
+    }
+
+    #[test]
+    fn wrong_length_image_is_refused_untouched() {
+        let donor = warmed(0, 3, 20);
+        let mut m = warmed(0, 11, 40);
+        let before = (m.image(), state_bytes(&m));
+        let image = donor.image();
+        for bad in [&image[..image.len() - 1], &[][..], &[0u8; 64][..]] {
+            assert!(m.restore_image(bad).is_err());
+            assert_eq!((m.image(), state_bytes(&m)), before);
+        }
+        // An image of another geometry is refused the same way.
+        assert!(m.restore_image(&warmed(1, 3, 20).image()).is_err());
+        assert_eq!((m.image(), state_bytes(&m)), before);
+        // A resident count beyond the associativity is refused too.
+        let mut overfull = image.clone();
+        let l1_counts = 8 * (256 + 3);
+        overfull[l1_counts] = 5;
+        assert!(m.restore_image(&overfull).is_err());
+        assert_eq!((m.image(), state_bytes(&m)), before);
+        m.restore_image(&image).unwrap();
+        assert_eq!(state_bytes(&m), state_bytes(&donor));
     }
 
     fn j_scatter(x: u64) -> u64 {

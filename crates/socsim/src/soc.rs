@@ -544,39 +544,25 @@ impl Soc {
     /// (kernel, config fingerprint, memory state, branch RNG), expand
     /// cold — and record the result — otherwise.
     fn expand_cpu_kernel(&mut self, kernel: Kernel) -> u64 {
-        // The expansion context doubles as the rollback image below, so
-        // it is serialized once, only when a cache is attached.
-        let ctx = self.timing_cache.is_some().then(|| {
-            let mut w = SnapWriter::new();
-            self.mem.save_state(&mut w);
-            let pre_mem = w.into_bytes();
-            let hash = SharedTimingCache::context_hash(&pre_mem, self.cpu.branch_rng());
-            (hash, pre_mem)
-        });
-        if let (Some(cache), Some((hash, pre_mem))) = (&self.timing_cache, &ctx) {
-            if let Some(entry) = cache.lookup_kernel(self.timing_fingerprint, &kernel, *hash) {
-                match self.mem.restore_state(&mut SnapReader::new(&entry.post_mem)) {
-                    Ok(()) => {
-                        self.cpu.replay_expansion(
-                            entry.cycles,
-                            entry.instrs,
-                            entry.mispredicts,
-                            entry.post_rng,
-                        );
-                        let cycles = entry.cycles.max(1);
-                        self.kernel_costs.insert(kernel, (cycles, entry.instrs));
-                        return cycles;
-                    }
-                    Err(_) => {
-                        // A malformed entry (hash collision against a
-                        // different geometry, or file corruption) may have
-                        // partially overwritten the memory state: roll
-                        // back to the pre-expansion image and expand cold.
-                        self.mem
-                            .restore_state(&mut SnapReader::new(pre_mem))
-                            // rose-lint: allow(PANIC002, the pre-expansion image was serialized from this exact MemSystem and round-trips by construction)
-                            .expect("pre-expansion memory state round-trips");
-                    }
+        let ctx = self
+            .timing_cache
+            .is_some()
+            .then(|| self.mem.context_hash(self.cpu.branch_rng()));
+        if let (Some(cache), Some(ctx)) = (&self.timing_cache, ctx) {
+            if let Some(entry) = cache.lookup_kernel(self.timing_fingerprint, &kernel, ctx) {
+                // An image of the wrong length (a context collision across
+                // geometries, or a corrupt file) is refused with the
+                // memory state untouched; the kernel then expands cold.
+                if self.mem.restore_image(entry.post_mem.as_bytes()).is_ok() {
+                    self.cpu.replay_expansion(
+                        entry.cycles,
+                        entry.instrs,
+                        entry.mispredicts,
+                        entry.post_rng,
+                    );
+                    let cycles = entry.cycles.max(1);
+                    self.kernel_costs.insert(kernel, (cycles, entry.instrs));
+                    return cycles;
                 }
             }
         }
@@ -584,19 +570,17 @@ impl Soc {
         let cycles = self.cpu.run_kernel(&kernel, &mut self.mem).max(1);
         let after = self.cpu.stats();
         let instrs = after.instrs - before.instrs;
-        if let (Some(cache), Some((hash, _))) = (&self.timing_cache, &ctx) {
-            let mut w = SnapWriter::new();
-            self.mem.save_state(&mut w);
+        if let (Some(cache), Some(ctx)) = (&self.timing_cache, ctx) {
             cache.insert_kernel(
                 self.timing_fingerprint,
                 kernel,
-                *hash,
+                ctx,
                 KernelEntry {
                     cycles: after.cycles - before.cycles,
                     instrs,
                     mispredicts: after.mispredicts - before.mispredicts,
                     post_rng: self.cpu.branch_rng(),
-                    post_mem: w.into_bytes(),
+                    post_mem: self.mem.image().into(),
                 },
             );
         }
@@ -1186,6 +1170,43 @@ mod tests {
         assert_eq!(state(&cold), state(&warm));
         // And the warmup run itself matches too (cold-with-recording).
         assert_eq!(state(&cold), state(&warmup));
+    }
+
+    #[test]
+    fn wrong_length_kernel_image_is_refused() {
+        let kernel = Kernel::Memcpy { bytes: 32 << 10 };
+        let ops = || vec![TargetOp::CpuKernel(kernel), TargetOp::Send(vec![1])];
+        let state = |soc: &Soc| {
+            let mut w = SnapWriter::new();
+            soc.save_state(&mut w);
+            w.into_bytes()
+        };
+        let mut cold = scripted_soc(ops());
+        cold.run_cycles(100_000_000);
+
+        // Plant an entry under the exact context the kernel will expand
+        // in, with a truncated image and bogus counters: the replay must
+        // refuse it, leave the hierarchy untouched, and expand cold.
+        let mut warm = scripted_soc(ops());
+        let cache = SharedTimingCache::in_memory();
+        warm.set_timing_cache(cache.clone());
+        let ctx = warm.mem.context_hash(warm.cpu.branch_rng());
+        let pre = warm.mem.image();
+        let bad = KernelEntry {
+            cycles: 1,
+            instrs: 1,
+            mispredicts: 0,
+            post_rng: 0,
+            post_mem: pre[..pre.len() - 8].to_vec().into(),
+        };
+        assert!(warm.mem.restore_image(bad.post_mem.as_bytes()).is_err());
+        assert_eq!(warm.mem.image(), pre, "refused image left state as is");
+        cache.insert_kernel(warm.timing_fingerprint, kernel, ctx, bad);
+
+        warm.run_cycles(100_000_000);
+        assert_eq!(cache.counters(), (1, 0), "the planted entry was found");
+        assert_eq!(cold.stats(), warm.stats());
+        assert_eq!(state(&cold), state(&warm));
     }
 
     #[test]

@@ -19,10 +19,14 @@
 //!
 //! * CPU-kernel expansion is a pure function of (kernel, memory state,
 //!   branch RNG, core kind, memory geometry). The key therefore covers
-//!   the kernel descriptor, the configuration fingerprint, and a
-//!   *context hash* over the serialized memory state and RNG; the entry
-//!   stores the full post-expansion memory image so a replay restores
-//!   exactly the state a cold run would have left.
+//!   the kernel descriptor, the configuration fingerprint, and a 128-bit
+//!   *context hash* ([`crate::mem::MemSystem::context_hash`]) over the
+//!   memory hierarchy's flat state words and the RNG; the entry stores
+//!   the full post-expansion [`crate::mem::MemSystem::image`], so a
+//!   replay is a hash, a lookup, and a copy back into place that leaves
+//!   exactly the state a cold run would have left. An image of the wrong
+//!   length for the replaying geometry is refused before any state is
+//!   touched, and the kernel expands cold instead.
 //! * Accelerator timing ([`crate::gemmini`]) is a pure function of the
 //!   shape and the configuration alone (`dma_latency` reads no mutable
 //!   state), so conv/matmul entries are context-free.
@@ -35,7 +39,8 @@
 //!
 //! A missing, truncated, corrupt, or version-mismatched cache file loads
 //! as an empty cache — the cache can only ever accelerate a run, never
-//! change or fail it.
+//! change or fail it. A loaded file is read once into one shared buffer;
+//! its kernel entries are byte ranges of that buffer, not copies.
 
 use crate::config::SocConfig;
 use crate::gemmini::{AccelRun, ConvShape};
@@ -43,6 +48,7 @@ use crate::kernel::Kernel;
 use rose_sim_core::fnv::Fnv64;
 use rose_sim_core::snap::{SnapError, SnapReader, SnapWriter};
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -50,7 +56,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 /// accelerator timing models, or the memory hierarchy that can move a
 /// single cycle MUST bump this: the fingerprint folds it in, so every
 /// entry recorded by an older model self-invalidates.
-pub const MODEL_VERSION: u32 = 1;
+pub const MODEL_VERSION: u32 = 2;
 
 /// Section magic guarding the cache file ("RTMC").
 const SNAP_SECTION: u32 = 0x5254_4d43;
@@ -64,8 +70,50 @@ pub const DEFAULT_PATH: &str = ".rose-timing-cache.snap";
 /// cache entirely.
 pub const ENV_VAR: &str = "ROSE_TIMING_CACHE";
 
+/// A recorded memory image: a byte range of a shared buffer. Entries
+/// loaded from disk all point into the one buffer the file was read into;
+/// an entry recorded in-process owns its buffer. Cloning shares the bytes.
+#[derive(Clone)]
+pub struct MemImage {
+    buf: Arc<Vec<u8>>,
+    range: Range<usize>,
+}
+
+impl MemImage {
+    /// The image bytes.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.buf[self.range.clone()]
+    }
+}
+
+impl From<Vec<u8>> for MemImage {
+    fn from(bytes: Vec<u8>) -> MemImage {
+        MemImage {
+            range: 0..bytes.len(),
+            buf: Arc::new(bytes),
+        }
+    }
+}
+
+/// Equal bytes, wherever they are stored.
+impl PartialEq for MemImage {
+    fn eq(&self, other: &MemImage) -> bool {
+        self.as_bytes() == other.as_bytes()
+    }
+}
+
+impl Eq for MemImage {}
+
+/// The length only: a loaded image's buffer is the whole cache file.
+impl std::fmt::Debug for MemImage {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "MemImage({} bytes)", self.range.len())
+    }
+}
+
 /// A recorded CPU-kernel expansion: the counter deltas and final state of
-/// one cold [`crate::cpu::CpuModel::run_kernel`] call.
+/// one cold [`crate::cpu::CpuModel::run_kernel`] call. Cheap to clone: the
+/// memory image is shared, not copied.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KernelEntry {
     /// Cycles the expansion added to [`crate::cpu::CpuStats::cycles`]
@@ -78,9 +126,9 @@ pub struct KernelEntry {
     pub mispredicts: u64,
     /// The branch RNG state after the expansion.
     pub post_rng: u64,
-    /// The complete serialized [`crate::mem::MemSystem`] state after the
-    /// expansion (caches, bus counters, prefetcher).
-    pub post_mem: Vec<u8>,
+    /// The [`crate::mem::MemSystem::image`] after the expansion (caches,
+    /// bus counters, prefetcher).
+    pub post_mem: MemImage,
 }
 
 /// A recorded accelerator run: everything a cold `conv`/`matmul` call
@@ -124,7 +172,7 @@ impl AccelEntry {
 #[derive(Debug, Default)]
 struct Inner {
     /// (config fingerprint, kernel, expansion-context hash) → expansion.
-    kernels: BTreeMap<(u64, Kernel, u64), KernelEntry>,
+    kernels: BTreeMap<(u64, Kernel, u128), KernelEntry>,
     /// (config fingerprint, conv shape) → run.
     convs: BTreeMap<(u64, ConvShape), AccelEntry>,
     /// (config fingerprint, (m, k, n)) → run.
@@ -147,12 +195,12 @@ impl Inner {
         for ((fp, kernel, ctx), entry) in &self.kernels {
             w.u64(*fp);
             kernel.save_state(w);
-            w.u64(*ctx);
+            w.u128(*ctx);
             w.u64(entry.cycles);
             w.u64(entry.instrs);
             w.u64(entry.mispredicts);
             w.u64(entry.post_rng);
-            w.bytes(&entry.post_mem);
+            w.bytes(entry.post_mem.as_bytes());
         }
         w.usize(self.convs.len());
         for ((fp, shape), entry) in &self.convs {
@@ -170,8 +218,10 @@ impl Inner {
         }
     }
 
-    fn restore_state(bytes: &[u8]) -> Result<Inner, SnapError> {
-        let mut r = SnapReader::new(bytes);
+    /// Decodes a cache file. Kernel images stay in `file`: each entry
+    /// holds its byte range.
+    fn restore_state(file: &Arc<Vec<u8>>) -> Result<Inner, SnapError> {
+        let mut r = SnapReader::new(file);
         r.section(SNAP_SECTION)?;
         let version = r.u32()?;
         if version != MODEL_VERSION {
@@ -183,13 +233,16 @@ impl Inner {
         for _ in 0..n_kernels {
             let fp = r.u64()?;
             let kernel = Kernel::restore_state(&mut r)?;
-            let ctx = r.u64()?;
+            let ctx = r.u128()?;
             let entry = KernelEntry {
                 cycles: r.u64()?,
                 instrs: r.u64()?,
                 mispredicts: r.u64()?,
                 post_rng: r.u64()?,
-                post_mem: r.bytes()?,
+                post_mem: MemImage {
+                    range: r.byte_range()?,
+                    buf: Arc::clone(file),
+                },
             };
             inner.kernels.insert((fp, kernel, ctx), entry);
         }
@@ -245,14 +298,15 @@ impl SharedTimingCache {
         }
     }
 
-    /// Loads the cache at `path`. A missing, truncated, corrupt, or
-    /// version-mismatched file yields an empty cache bound to the same
-    /// path — the cache never fails a run.
+    /// Loads the cache at `path` with a single read: kernel entries keep
+    /// their memory images in the one buffer the file was read into. A
+    /// missing, truncated, corrupt, or version-mismatched file yields an
+    /// empty cache bound to the same path — the cache never fails a run.
     pub fn load(path: impl Into<PathBuf>) -> SharedTimingCache {
         let path = path.into();
         let inner = std::fs::read(&path)
             .ok()
-            .and_then(|bytes| Inner::restore_state(&bytes).ok())
+            .and_then(|bytes| Inner::restore_state(&Arc::new(bytes)).ok())
             .unwrap_or_default();
         SharedTimingCache {
             path: Some(path),
@@ -337,36 +391,10 @@ impl SharedTimingCache {
         h.finish()
     }
 
-    /// The CPU-kernel expansion context: a content hash of the serialized
-    /// memory-system state and the branch-RNG position. Two expansions
-    /// with equal kernel, fingerprint, and context are bit-identical.
-    ///
-    /// The state is ~100 KiB of cache tags, so this is an FNV-1a-style
-    /// multiply over 8-byte lanes (`Fnv64` folds byte-wise internally,
-    /// which would dominate the whole replay) — one multiply per word
-    /// keeps the hit path an order of magnitude cheaper than the codec
-    /// hash, at the same 64-bit collision resistance. The lane hash is a
-    /// pure key format private to the cache file; `MODEL_VERSION` guards
-    /// it like every other layout choice.
-    pub fn context_hash(mem_state: &[u8], branch_rng: u64) -> u64 {
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut chunks = mem_state.chunks_exact(8);
-        for chunk in &mut chunks {
-            // rose-lint: allow(PANIC002, chunks_exact(8) guarantees 8-byte slices, so the conversion is infallible)
-            let word = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
-            h = (h ^ word).wrapping_mul(PRIME);
-        }
-        for &byte in chunks.remainder() {
-            h = (h ^ u64::from(byte)).wrapping_mul(PRIME);
-        }
-        // rose-lint: allow(CAST001, usize -> u64 widens on every supported target)
-        h = (h ^ mem_state.len() as u64).wrapping_mul(PRIME);
-        (h ^ branch_rng).wrapping_mul(PRIME)
-    }
-
-    /// Looks up a recorded CPU-kernel expansion.
-    pub fn lookup_kernel(&self, fp: u64, kernel: &Kernel, ctx: u64) -> Option<KernelEntry> {
+    /// Looks up a recorded CPU-kernel expansion under its
+    /// [`crate::mem::MemSystem::context_hash`]. The returned entry shares
+    /// its memory image with the cache.
+    pub fn lookup_kernel(&self, fp: u64, kernel: &Kernel, ctx: u128) -> Option<KernelEntry> {
         let mut inner = self.lock();
         let hit = inner.kernels.get(&(fp, *kernel, ctx)).cloned();
         match hit {
@@ -377,7 +405,7 @@ impl SharedTimingCache {
     }
 
     /// Records a cold CPU-kernel expansion.
-    pub fn insert_kernel(&self, fp: u64, kernel: Kernel, ctx: u64, entry: KernelEntry) {
+    pub fn insert_kernel(&self, fp: u64, kernel: Kernel, ctx: u128, entry: KernelEntry) {
         let mut inner = self.lock();
         inner.kernels.insert((fp, kernel, ctx), entry);
         inner.dirty = true;
@@ -442,6 +470,7 @@ mod tests {
     use super::*;
     use crate::config::SocConfig;
     use crate::gemmini::GemminiConfig;
+    use crate::mem::{MemConfig, MemSystem};
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn temp_path(tag: &str) -> PathBuf {
@@ -463,7 +492,7 @@ mod tests {
                 instrs: 456,
                 mispredicts: 7,
                 post_rng: 0xabcd,
-                post_mem: vec![1, 2, 3, 4],
+                post_mem: vec![1, 2, 3, 4].into(),
             },
         );
         cache.insert_conv(
@@ -515,7 +544,7 @@ mod tests {
             .lookup_kernel(fp, &Kernel::Memcpy { bytes: 4096 }, 0xfeed)
             .unwrap();
         assert_eq!(k.cycles, 123);
-        assert_eq!(k.post_mem, vec![1, 2, 3, 4]);
+        assert_eq!(k.post_mem.as_bytes(), [1, 2, 3, 4]);
         let c = reloaded
             .lookup_conv(
                 fp,
@@ -550,6 +579,98 @@ mod tests {
         let bytes = w.into_bytes();
         std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
         assert!(SharedTimingCache::load(&path).is_empty());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn persist_load_persist_is_byte_identical() {
+        let path = temp_path("idempotent");
+        let cache = SharedTimingCache::load(&path);
+        sample_entries(&cache, 5);
+        cache.insert_kernel(5, Kernel::Memcpy { bytes: 64 }, u128::MAX, replay_entry(9));
+        cache.persist().unwrap();
+        let first = std::fs::read(&path).unwrap();
+
+        // Re-inserting an identical accelerator entry dirties the reloaded
+        // cache, so the second persist really rewrites the file from the
+        // loaded (range-backed) kernel entries.
+        let reloaded = SharedTimingCache::load(&path);
+        reloaded.insert_matmul(
+            5,
+            8,
+            16,
+            32,
+            AccelEntry {
+                run: AccelRun::default(),
+                bus_bytes: 64,
+                cycles_delta: 1,
+            },
+        );
+        reloaded.persist().unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), first);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn kernel_image_past_end_of_file_loads_empty() {
+        let mut w = SnapWriter::new();
+        w.section(SNAP_SECTION);
+        w.u32(MODEL_VERSION);
+        w.usize(1);
+        w.u64(1);
+        Kernel::Memcpy { bytes: 64 }.save_state(&mut w);
+        w.u128(2);
+        for field in [3, 4, 5, 6] {
+            w.u64(field);
+        }
+        // The image's length prefix claims more bytes than follow it.
+        w.u64(1 << 20);
+        w.u64(0);
+        w.usize(0);
+        w.usize(0);
+        let path = temp_path("overrun");
+        std::fs::write(&path, w.into_bytes()).unwrap();
+        assert!(SharedTimingCache::load(&path).is_empty());
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A kernel entry whose image is a warmed default-geometry hierarchy.
+    fn replay_entry(seed: u64) -> KernelEntry {
+        let mut mem = MemSystem::new(MemConfig::default());
+        for i in 0..2048u64 {
+            let addr = (i ^ seed).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 40;
+            mem.access(addr, i % 3 == 0);
+        }
+        KernelEntry {
+            cycles: seed,
+            instrs: 2 * seed,
+            mispredicts: 1,
+            post_rng: seed ^ 0xff,
+            post_mem: mem.image().into(),
+        }
+    }
+
+    #[test]
+    fn recorded_and_reloaded_entries_replay_the_same_image() {
+        let path = temp_path("replay");
+        let kernel = Kernel::Memcpy { bytes: 1024 };
+        let recorded = replay_entry(77);
+        let cache = SharedTimingCache::load(&path);
+        cache.insert_kernel(3, kernel, 0xc0ffee, recorded.clone());
+        cache.persist().unwrap();
+        let reloaded = SharedTimingCache::load(&path)
+            .lookup_kernel(3, &kernel, 0xc0ffee)
+            .unwrap();
+        let in_process = cache.lookup_kernel(3, &kernel, 0xc0ffee).unwrap();
+        assert_eq!(reloaded, recorded);
+
+        let replay = |entry: &KernelEntry| {
+            let mut mem = MemSystem::new(MemConfig::default());
+            mem.restore_image(entry.post_mem.as_bytes()).unwrap();
+            mem.image()
+        };
+        assert_eq!(replay(&in_process), replay(&reloaded));
+        assert_eq!(replay(&reloaded), recorded.post_mem.as_bytes());
         std::fs::remove_file(&path).ok();
     }
 
