@@ -8,13 +8,12 @@
 
 use crate::ops;
 use crate::tensor::Tensor;
-use serde::{Deserialize, Serialize};
 
 /// Index of a node within a [`Network`].
 pub type NodeId = usize;
 
 /// One operator node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Op {
     /// The network input placeholder.
     Input,
@@ -62,7 +61,7 @@ pub enum Op {
 }
 
 /// A node: an operator applied to the output of `input`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Node {
     /// The operator.
     pub op: Op,
@@ -71,7 +70,7 @@ pub struct Node {
 }
 
 /// A feed-forward DAG with two output heads.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Network {
     name: String,
     nodes: Vec<Node>,

@@ -14,11 +14,10 @@
 use crate::resnet::DnnModel;
 use rose_sim_core::rng::SimRng;
 use rose_sim_core::snap::{SnapError, SnapReader, SnapWriter};
-use serde::{Deserialize, Serialize};
 
 /// The three view classes of each head (Figure 8), drone-centric:
 /// `Left` means the UAV is rotated/offset to the left of the trail.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ViewClass {
     /// UAV left of / rotated left of the trail.
     Left,
@@ -39,7 +38,7 @@ impl ViewClass {
 }
 
 /// Softmax probabilities over `[left, center, right]`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClassProbs(pub [f64; 3]);
 
 impl ClassProbs {
@@ -79,7 +78,7 @@ impl ClassProbs {
 }
 
 /// Output of one inference: both heads' distributions.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PerceptionOutput {
     /// Angular head (view angle relative to the trail).
     pub angular: ClassProbs,

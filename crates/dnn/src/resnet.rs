@@ -13,11 +13,10 @@ use crate::tensor::Tensor;
 use rose_sim_core::rng::SimRng;
 use rose_socsim::gemmini::ConvShape;
 use rose_socsim::kernel::ElemKind;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The DNN controller variants of Table 3.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum DnnModel {
     /// 6-layer ResNet: fastest, least accurate.
     ResNet6,
@@ -38,7 +37,7 @@ impl fmt::Display for DnnModel {
 }
 
 /// Architecture description of one variant.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ResNetSpec {
     /// Input tensor shape (C, H, W).
     pub input: (usize, usize, usize),
@@ -168,7 +167,7 @@ impl DnnModel {
 }
 
 /// A shape-only operator, sufficient for timing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlanOp {
     /// A convolution (runs on the accelerator when present).
     Conv(ConvShape),
@@ -201,7 +200,7 @@ pub enum PlanOp {
 }
 
 /// A complete shape-only inference description.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InferencePlan {
     name: String,
     ops: Vec<PlanOp>,

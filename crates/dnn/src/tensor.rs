@@ -1,9 +1,7 @@
 //! A minimal NCHW `f32` tensor.
 
-use serde::{Deserialize, Serialize};
-
 /// A dense row-major `f32` tensor.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tensor {
     shape: Vec<usize>,
     data: Vec<f32>,

@@ -12,10 +12,9 @@
 
 use crate::tensor::Tensor;
 use rose_sim_core::rng::SimRng;
-use serde::{Deserialize, Serialize};
 
 /// One training example: a feature vector and its two class labels.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Example {
     /// Backbone feature vector.
     pub features: Vec<f32>,
@@ -42,7 +41,7 @@ impl Example {
 }
 
 /// Hyperparameters for head training.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainConfig {
     /// Learning rate.
     pub learning_rate: f32,
@@ -66,7 +65,7 @@ impl Default for TrainConfig {
 }
 
 /// A single 3-class softmax head under training.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SoftmaxHead {
     /// Weights, shape (3, d).
     weights: Vec<f32>,
@@ -152,7 +151,7 @@ impl SoftmaxHead {
 }
 
 /// Outcome of a training run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainReport {
     /// Final-epoch mean cross-entropy of the angular head.
     pub angular_loss: f32,

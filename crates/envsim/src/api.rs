@@ -12,11 +12,10 @@
 use crate::camera::Image;
 use crate::sensors::{DepthSample, ImuSample};
 use rose_sim_core::math::Vec3;
-use serde::{Deserialize, Serialize};
 
 /// A velocity-level control target, as sent from the companion computer to
 /// the flight controller (angular and linear velocity targets, Section 4.1).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VelocityTarget {
     /// Forward velocity target in the body frame (m/s).
     pub forward: f64,
@@ -51,7 +50,7 @@ impl VelocityTarget {
 }
 
 /// The UAV's ground-truth pose, for logging and evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Pose {
     /// World position (m).
     pub position: Vec3,
@@ -62,7 +61,7 @@ pub struct Pose {
 }
 
 /// A request to the environment simulator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum SimRequest {
     /// Capture a camera frame.
     GetImage,
@@ -87,7 +86,7 @@ pub enum SimRequest {
 }
 
 /// A response from the environment simulator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum SimResponse {
     /// A camera frame.
     Image(Image),

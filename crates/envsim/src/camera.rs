@@ -10,10 +10,9 @@
 
 use crate::world::{P2, World};
 use rose_sim_core::math::Vec3;
-use serde::{Deserialize, Serialize};
 
 /// Camera intrinsics and image geometry.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CameraConfig {
     /// Image width in pixels.
     pub width: usize,
@@ -38,7 +37,7 @@ impl Default for CameraConfig {
 }
 
 /// A grayscale image (row-major, `height * width` bytes).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Image {
     width: usize,
     height: usize,

@@ -11,10 +11,9 @@ use crate::world::{P2, World};
 use rose_sim_core::math::Vec3;
 use rose_sim_core::rng::SimRng;
 use rose_sim_core::snap::{SnapError, SnapReader, SnapWriter};
-use serde::{Deserialize, Serialize};
 
 /// One IMU sample.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ImuSample {
     /// Body-frame specific force (m/s²): what the accelerometer measures.
     pub accel: Vec3,
@@ -25,7 +24,7 @@ pub struct ImuSample {
 }
 
 /// IMU noise parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ImuConfig {
     /// Accelerometer white-noise standard deviation (m/s²).
     pub accel_noise: f64,
@@ -139,7 +138,7 @@ impl Imu {
 }
 
 /// One depth sensor reading.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DepthSample {
     /// Distance to the closest obstacle along the current heading (m),
     /// clamped to the sensor range.
@@ -149,7 +148,7 @@ pub struct DepthSample {
 }
 
 /// Forward depth sensor parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DepthConfig {
     /// Maximum range (m).
     pub max_range: f64,

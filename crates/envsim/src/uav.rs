@@ -16,7 +16,6 @@ use rose_sim_core::math::{Quat, Vec3};
 use rose_sim_core::rng::SimRng;
 use rose_sim_core::snap::{SnapError, SnapReader, SnapWriter};
 use rose_trace::{ArgValue, TraceEvent, Track, Tracer};
-use serde::{Deserialize, Serialize};
 
 /// The flight controller interface.
 ///
@@ -49,7 +48,7 @@ pub trait Autopilot {
 }
 
 /// Configuration for a [`UavSim`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UavSimConfig {
     /// Environment frame rate (physics + render step rate).
     pub frames: FrameSpec,
@@ -85,7 +84,7 @@ impl Default for UavSimConfig {
 }
 
 /// One trajectory log record (one per frame).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrajectoryPoint {
     /// Simulated time in seconds.
     pub t: f64,

@@ -13,11 +13,10 @@
 //! offset and heading error relative to the trail).
 
 use rose_sim_core::math::{clamp, wrap_angle, Vec3};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A 2-D point in the horizontal plane.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct P2 {
     /// X coordinate (along the corridor).
     pub x: f64,
@@ -45,7 +44,7 @@ impl P2 {
 }
 
 /// A wall: a 2-D segment extruded vertically from the floor to `height`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Wall {
     /// Segment start.
     pub a: P2,
@@ -97,7 +96,7 @@ impl Wall {
 }
 
 /// Which built-in environment a [`World`] was generated from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WorldKind {
     /// Straight 50 m × 3.2 m corridor.
     Tunnel,
@@ -151,7 +150,7 @@ impl fmt::Display for WorldKind {
 }
 
 /// Ground-truth relation of a pose to the corridor centerline.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrailQuery {
     /// Signed lateral offset from the centerline in meters. Positive means
     /// the UAV is to the **left** of the trail (trail appears to its right).
@@ -166,7 +165,7 @@ pub struct TrailQuery {
 }
 
 /// An environment: walls, a centerline, and mission geometry.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct World {
     kind: WorldKind,
     walls: Vec<Wall>,

@@ -7,10 +7,9 @@
 
 use rose_envsim::dynamics::{MotorCommand, QuadrotorParams};
 use rose_sim_core::math::Vec3;
-use serde::{Deserialize, Serialize};
 
 /// Allocates thrust and torques to four motors.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Mixer {
     /// Effective moment arm (arm length projected onto each axis).
     arm: f64,

@@ -27,7 +27,6 @@
 
 use crate::packet::Packet;
 use crate::transport::{Transport, TransportError};
-use bytes::BytesMut;
 use rose_sim_core::rng::SimRng;
 use rose_sim_core::snap::{SnapError, SnapReader, SnapWriter};
 use std::io;
@@ -470,18 +469,20 @@ impl<T: Transport> FaultyTransport<T> {
         self.corrupt_data = r.u32()?;
         self.reorder_data = r.u32()?;
         self.held = match r.opt_bytes()? {
-            Some(bytes) => {
-                let mut buf = BytesMut::from(&bytes[..]);
-                match Packet::decode(&mut buf) {
-                    Ok(p) => Some(p),
-                    Err(_) => {
-                        return Err(SnapError::BadTag {
-                            context: "held reorder packet",
-                            tag: bytes.first().copied().unwrap_or(0),
-                        })
-                    }
+            Some(bytes) => match Packet::decode(&bytes) {
+                Ok((p, used)) if used == bytes.len() => Some(p),
+                Ok((_, used)) => {
+                    return Err(SnapError::TrailingBytes {
+                        count: bytes.len() - used,
+                    })
                 }
-            }
+                Err(_) => {
+                    return Err(SnapError::BadTag {
+                        context: "held reorder packet",
+                        tag: bytes.first().copied().unwrap_or(0),
+                    })
+                }
+            },
             None => None,
         };
         self.stall_ops = r.u32()?;
@@ -826,6 +827,41 @@ mod tests {
             }
         }
         assert_eq!(failures, 3);
+    }
+
+    #[test]
+    fn restore_rejects_trailing_bytes_after_held_packet() {
+        let (a, _b) = ChannelTransport::pair();
+        let plan = FaultPlan::new(6).with_event(0, FaultKind::Reorder);
+        let mut faulty = FaultyTransport::new(a, plan.clone());
+        faulty.send(&data(0, 1)).unwrap(); // held
+        let mut w = SnapWriter::new();
+        faulty.save_state(&mut w);
+        let bytes = w.into_bytes();
+
+        // Splice one extra byte onto the held-packet blob and fix up its
+        // length prefix, leaving every other field intact.
+        let held = data(0, 1).to_bytes();
+        let mut blob = vec![1u8];
+        blob.extend_from_slice(&(held.len() as u64).to_le_bytes());
+        blob.extend_from_slice(&held);
+        let at = bytes
+            .windows(blob.len())
+            .position(|win| win == &blob[..])
+            .expect("held packet in snapshot");
+        let mut corrupt = bytes[..at].to_vec();
+        corrupt.push(1);
+        corrupt.extend_from_slice(&(held.len() as u64 + 1).to_le_bytes());
+        corrupt.extend_from_slice(&held);
+        corrupt.push(0xab);
+        corrupt.extend_from_slice(&bytes[at + blob.len()..]);
+
+        let (a2, _b2) = ChannelTransport::pair();
+        let mut restored = FaultyTransport::new(a2, plan);
+        assert_eq!(
+            restored.restore_state(&mut SnapReader::new(&corrupt)),
+            Err(SnapError::TrailingBytes { count: 1 })
+        );
     }
 
     #[test]

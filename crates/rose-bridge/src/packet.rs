@@ -20,7 +20,7 @@
 //! handshake: each side announces the next data sequence number it
 //! expects and the last quantum it has completed.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use rose_sim_core::snap::{SnapError, SnapReader, SnapWriter};
 use std::fmt;
 
 /// Wire packet type tags.
@@ -111,68 +111,68 @@ impl fmt::Display for DecodeError {
 impl std::error::Error for DecodeError {}
 
 impl Packet {
-    /// Serializes the packet into `buf`.
-    pub fn encode(&self, buf: &mut BytesMut) {
+    /// Serializes the packet into `w`.
+    pub fn encode(&self, w: &mut SnapWriter) {
         match self {
             Packet::GrantCycles { cycles, quantum } => {
-                buf.put_u8(TAG_GRANT);
-                buf.put_u32_le(16);
-                buf.put_u64_le(*cycles);
-                buf.put_u64_le(*quantum);
+                w.u8(TAG_GRANT);
+                w.u32(16);
+                w.u64(*cycles);
+                w.u64(*quantum);
             }
             Packet::CyclesDone { cycles, quantum } => {
-                buf.put_u8(TAG_CYCLES_DONE);
-                buf.put_u32_le(16);
-                buf.put_u64_le(*cycles);
-                buf.put_u64_le(*quantum);
+                w.u8(TAG_CYCLES_DONE);
+                w.u32(16);
+                w.u64(*cycles);
+                w.u64(*quantum);
             }
             Packet::FramesDone { frames } => {
-                buf.put_u8(TAG_FRAMES_DONE);
-                buf.put_u32_le(8);
-                buf.put_u64_le(*frames);
+                w.u8(TAG_FRAMES_DONE);
+                w.u32(8);
+                w.u64(*frames);
             }
             Packet::Data { seq, payload } => {
-                buf.put_u8(TAG_DATA);
+                w.u8(TAG_DATA);
                 // rose-lint: allow(CAST001, payload length is bounded by MAX_PAYLOAD well below u32::MAX)
-                buf.put_u32_le(4 + payload.len() as u32);
-                buf.put_u32_le(*seq);
-                buf.put_slice(payload);
+                w.u32(4 + payload.len() as u32);
+                w.u32(*seq);
+                w.append(payload);
             }
             Packet::Shutdown => {
-                buf.put_u8(TAG_SHUTDOWN);
-                buf.put_u32_le(0);
+                w.u8(TAG_SHUTDOWN);
+                w.u32(0);
             }
             Packet::Resync { expect_rx, quantum } => {
-                buf.put_u8(TAG_RESYNC);
-                buf.put_u32_le(12);
-                buf.put_u32_le(*expect_rx);
-                buf.put_u64_le(*quantum);
+                w.u8(TAG_RESYNC);
+                w.u32(12);
+                w.u32(*expect_rx);
+                w.u64(*quantum);
             }
         }
     }
 
     /// Serializes to a standalone byte vector.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut buf = BytesMut::new();
-        self.encode(&mut buf);
-        buf.to_vec()
+        let mut w = SnapWriter::new();
+        self.encode(&mut w);
+        w.into_bytes()
     }
 
-    /// Attempts to decode one packet from the front of `buf`, consuming it
-    /// on success.
+    /// Attempts to decode one packet from the front of `buf`. On success
+    /// returns the packet and the number of bytes it occupied (header plus
+    /// payload); bytes past that belong to the next packet.
     ///
     /// # Errors
     ///
-    /// [`DecodeError::Incomplete`] if more bytes are needed (buffer is left
-    /// untouched); [`DecodeError::BadTag`]/[`DecodeError::BadLength`] on
-    /// corrupt input.
-    pub fn decode(buf: &mut BytesMut) -> Result<Packet, DecodeError> {
-        if buf.len() < HEADER_LEN {
+    /// [`DecodeError::Incomplete`] if more bytes are needed;
+    /// [`DecodeError::BadTag`]/[`DecodeError::BadLength`] on corrupt input.
+    pub fn decode(buf: &[u8]) -> Result<(Packet, usize), DecodeError> {
+        let mut r = SnapReader::new(buf);
+        let (Ok(tag), Ok(len)) = (r.u8(), r.u32()) else {
             return Err(DecodeError::Incomplete);
-        }
-        let tag = buf[0];
+        };
         // rose-lint: allow(CAST001, u32 to usize widens on supported targets and len is bounds-checked on the next line)
-        let len = u32::from_le_bytes([buf[1], buf[2], buf[3], buf[4]]) as usize;
+        let len = len as usize;
         if len > MAX_PAYLOAD {
             return Err(DecodeError::BadLength(len));
         }
@@ -193,34 +193,39 @@ impl Packet {
             TAG_DATA => {}
             t => return Err(DecodeError::BadTag(t)),
         }
-        if buf.len() < HEADER_LEN + len {
-            return Err(DecodeError::Incomplete);
-        }
-        buf.advance(HEADER_LEN);
-        let mut payload: Bytes = buf.split_to(len).freeze();
+        let body = r.take(len).map_err(|_| DecodeError::Incomplete)?;
+        let packet = Packet::decode_body(tag, &mut SnapReader::new(body))
+            .map_err(|_| DecodeError::BadLength(len))?;
+        Ok((packet, HEADER_LEN + len))
+    }
+
+    /// Reads the fields of a packet whose tag and length were validated.
+    fn decode_body(tag: u8, r: &mut SnapReader<'_>) -> Result<Packet, SnapError> {
         Ok(match tag {
             TAG_GRANT => Packet::GrantCycles {
-                cycles: payload.get_u64_le(),
-                quantum: payload.get_u64_le(),
+                cycles: r.u64()?,
+                quantum: r.u64()?,
             },
             TAG_CYCLES_DONE => Packet::CyclesDone {
-                cycles: payload.get_u64_le(),
-                quantum: payload.get_u64_le(),
+                cycles: r.u64()?,
+                quantum: r.u64()?,
             },
-            TAG_FRAMES_DONE => Packet::FramesDone {
-                frames: payload.get_u64_le(),
-            },
+            TAG_FRAMES_DONE => Packet::FramesDone { frames: r.u64()? },
             TAG_DATA => Packet::Data {
-                seq: payload.get_u32_le(),
-                payload: payload.to_vec(),
+                seq: r.u32()?,
+                payload: r.take(r.remaining())?.to_vec(),
             },
             TAG_SHUTDOWN => Packet::Shutdown,
             TAG_RESYNC => Packet::Resync {
-                expect_rx: payload.get_u32_le(),
-                quantum: payload.get_u64_le(),
+                expect_rx: r.u32()?,
+                quantum: r.u64()?,
             },
-            // rose-lint: allow(PANIC001, the match above already rejected every tag outside this set via DecodeError::BadTag)
-            _ => unreachable!("tag validated above"),
+            tag => {
+                return Err(SnapError::BadTag {
+                    context: "packet",
+                    tag,
+                })
+            }
         })
     }
 
@@ -247,11 +252,8 @@ mod tests {
     use super::*;
 
     fn roundtrip(pkt: Packet) {
-        let mut buf = BytesMut::new();
-        pkt.encode(&mut buf);
-        let decoded = Packet::decode(&mut buf).expect("decode");
-        assert_eq!(decoded, pkt);
-        assert!(buf.is_empty(), "decode must consume the packet");
+        let buf = pkt.to_bytes();
+        assert_eq!(Packet::decode(&buf), Ok((pkt, buf.len())));
     }
 
     #[test]
@@ -288,50 +290,52 @@ mod tests {
         }
         .to_bytes();
         for cut in [0, 1, 4, HEADER_LEN, HEADER_LEN + 50] {
-            let mut buf = BytesMut::from(&full[..cut]);
-            assert_eq!(Packet::decode(&mut buf), Err(DecodeError::Incomplete));
-            assert_eq!(buf.len(), cut, "incomplete decode must not consume");
+            assert_eq!(Packet::decode(&full[..cut]), Err(DecodeError::Incomplete));
         }
     }
 
     #[test]
     fn back_to_back_packets_stream() {
-        let mut buf = BytesMut::new();
+        let mut w = SnapWriter::new();
         Packet::GrantCycles {
             cycles: 5,
             quantum: 2,
         }
-        .encode(&mut buf);
+        .encode(&mut w);
         Packet::Data {
             seq: 0,
             payload: vec![9, 9],
         }
-        .encode(&mut buf);
-        Packet::Shutdown.encode(&mut buf);
+        .encode(&mut w);
+        Packet::Shutdown.encode(&mut w);
+        let buf = w.into_bytes();
+        let (first, n1) = Packet::decode(&buf).unwrap();
         assert_eq!(
-            Packet::decode(&mut buf).unwrap(),
+            first,
             Packet::GrantCycles {
                 cycles: 5,
                 quantum: 2
             }
         );
+        let (second, n2) = Packet::decode(&buf[n1..]).unwrap();
         assert_eq!(
-            Packet::decode(&mut buf).unwrap(),
+            second,
             Packet::Data {
                 seq: 0,
                 payload: vec![9, 9]
             }
         );
-        assert_eq!(Packet::decode(&mut buf).unwrap(), Packet::Shutdown);
-        assert_eq!(Packet::decode(&mut buf), Err(DecodeError::Incomplete));
+        let (third, n3) = Packet::decode(&buf[n1 + n2..]).unwrap();
+        assert_eq!(third, Packet::Shutdown);
+        assert_eq!(n1 + n2 + n3, buf.len());
+        assert_eq!(Packet::decode(&[]), Err(DecodeError::Incomplete));
     }
 
     #[test]
     fn corrupt_tag_rejected() {
         let mut raw = Packet::Shutdown.to_bytes();
         raw[0] = 0x7f;
-        let mut buf = BytesMut::from(&raw[..]);
-        assert_eq!(Packet::decode(&mut buf), Err(DecodeError::BadTag(0x7f)));
+        assert_eq!(Packet::decode(&raw), Err(DecodeError::BadTag(0x7f)));
     }
 
     #[test]
@@ -342,8 +346,7 @@ mod tests {
         }
         .to_bytes();
         raw[1] = 9; // length must be exactly 16
-        let mut buf = BytesMut::from(&raw[..]);
-        assert_eq!(Packet::decode(&mut buf), Err(DecodeError::BadLength(9)));
+        assert_eq!(Packet::decode(&raw), Err(DecodeError::BadLength(9)));
         // Oversized data payload length.
         let mut raw = Packet::Data {
             seq: 0,
@@ -351,9 +354,8 @@ mod tests {
         }
         .to_bytes();
         raw[1..5].copy_from_slice(&(u32::MAX).to_le_bytes());
-        let mut buf = BytesMut::from(&raw[..]);
         assert!(matches!(
-            Packet::decode(&mut buf),
+            Packet::decode(&raw),
             Err(DecodeError::BadLength(_))
         ));
         // A data packet shorter than its sequence number is malformed —
@@ -364,8 +366,10 @@ mod tests {
         }
         .to_bytes();
         raw[1..5].copy_from_slice(&3u32.to_le_bytes());
-        let mut buf = BytesMut::from(&raw[..4 + 1]);
-        assert_eq!(Packet::decode(&mut buf), Err(DecodeError::BadLength(3)));
+        assert_eq!(
+            Packet::decode(&raw[..4 + 1]),
+            Err(DecodeError::BadLength(3))
+        );
         // Resync with a truncated length field.
         let mut raw = Packet::Resync {
             expect_rx: 1,
@@ -373,8 +377,7 @@ mod tests {
         }
         .to_bytes();
         raw[1] = 4;
-        let mut buf = BytesMut::from(&raw[..]);
-        assert_eq!(Packet::decode(&mut buf), Err(DecodeError::BadLength(4)));
+        assert_eq!(Packet::decode(&raw), Err(DecodeError::BadLength(4)));
     }
 
     #[test]

@@ -26,7 +26,6 @@ use rose_trace::{
     ArgValue, LogHistogram, MetricRegistry, MetricSource, Phase, Profiler, Stopwatch, TraceEvent,
     Tracer, Track,
 };
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// The environment-simulator side of the co-simulation (AirSim's role).
@@ -100,7 +99,7 @@ pub trait RtlSide {
 /// how patient the policy was, independent of host scheduling. Disconnect
 /// errors additionally trigger [`Transport::reconnect`] plus the
 /// sequence-resync handshake before the retry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryPolicy {
     /// Transient failures absorbed per quantum before latching.
     pub max_retries: u32,
@@ -162,7 +161,7 @@ pub struct RecoveryStats {
 }
 
 /// Synchronization configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SyncConfig {
     /// The clock-domain ratio (Equation 1).
     pub ratio: SyncRatio,

@@ -16,9 +16,9 @@
 //!   socket, which loops internally until every byte of the encoded
 //!   packet is accepted or an error surfaces — a short write can never
 //!   silently truncate a frame.
-//! * **Reads** append whatever bytes arrive into a [`BytesMut`] inbox;
-//!   [`Packet::decode`] returns [`DecodeError::Incomplete`] (leaving the
-//!   buffer untouched) until a full frame is present. A packet dribbled
+//! * **Reads** append whatever bytes arrive into a byte-vector inbox;
+//!   [`Packet::decode`] returns [`DecodeError::Incomplete`] (the inbox
+//!   keeps its bytes) until a full frame is present. A packet dribbled
 //!   in one byte at a time therefore decodes exactly once, when its last
 //!   byte lands — see the `tcp_survives_dribbling_peer` test.
 //!
@@ -27,10 +27,9 @@
 //! them in order.
 
 use crate::packet::{DecodeError, Packet};
-use bytes::BytesMut;
-use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 
 /// A transport error.
 #[derive(Debug)]
@@ -125,7 +124,7 @@ pub trait Transport {
     }
 }
 
-/// An in-process transport over crossbeam channels.
+/// An in-process transport over `std::sync::mpsc` channels.
 #[derive(Debug)]
 pub struct ChannelTransport {
     tx: Sender<Packet>,
@@ -135,8 +134,8 @@ pub struct ChannelTransport {
 impl ChannelTransport {
     /// Creates a connected pair of endpoints.
     pub fn pair() -> (ChannelTransport, ChannelTransport) {
-        let (tx_a, rx_b) = unbounded();
-        let (tx_b, rx_a) = unbounded();
+        let (tx_a, rx_b) = channel();
+        let (tx_b, rx_a) = channel();
         (
             ChannelTransport { tx: tx_a, rx: rx_a },
             ChannelTransport { tx: tx_b, rx: rx_b },
@@ -176,7 +175,8 @@ impl Transport for ChannelTransport {
 #[derive(Debug)]
 pub struct TcpTransport {
     stream: TcpStream,
-    inbox: BytesMut,
+    /// Received bytes not yet decoded: a partial frame, or several.
+    inbox: Vec<u8>,
     /// The address originally dialed, kept so `reconnect` can re-dial.
     /// `None` on the accept side — a server cannot call its client back.
     peer: Option<SocketAddr>,
@@ -213,7 +213,7 @@ impl TcpTransport {
     pub fn from_stream(stream: TcpStream) -> TcpTransport {
         TcpTransport {
             stream,
-            inbox: BytesMut::with_capacity(64 * 1024),
+            inbox: Vec::with_capacity(64 * 1024),
             peer: None,
         }
     }
@@ -236,8 +236,11 @@ impl TcpTransport {
     }
 
     fn pop(&mut self) -> Result<Option<Packet>, TransportError> {
-        match Packet::decode(&mut self.inbox) {
-            Ok(p) => Ok(Some(p)),
+        match Packet::decode(&self.inbox) {
+            Ok((p, used)) => {
+                self.inbox.drain(..used);
+                Ok(Some(p))
+            }
             Err(DecodeError::Incomplete) => Ok(None),
             Err(e) => Err(TransportError::Decode(e)),
         }
@@ -282,10 +285,7 @@ impl Transport for TcpTransport {
         let stream = TcpStream::connect(peer)?;
         stream.set_nodelay(true)?;
         self.stream = stream;
-        let stale = self.inbox.len();
-        if stale > 0 {
-            self.inbox.advance(stale);
-        }
+        self.inbox.clear();
         Ok(())
     }
 }
@@ -404,7 +404,7 @@ mod tests {
 
     /// The short-read satellite: a peer that dribbles packets onto the
     /// wire one byte at a time (every read returns a 1-byte prefix) must
-    /// still deliver every packet intact and in order — the BytesMut inbox
+    /// still deliver every packet intact and in order — the byte inbox
     /// plus `DecodeError::Incomplete` reassembles frames regardless of how
     /// the stream fragments them.
     #[test]

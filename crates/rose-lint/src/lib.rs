@@ -310,9 +310,9 @@ pub fn lint_source(rel_path: &str, source: &str, config: &Config, all_rules: boo
 }
 
 /// The directories below the workspace root that are linted: the root
-/// package's `src/` and every crate's `src/`. `target/`, `shims/` (stub
-/// code for absent registry deps), tests, benches, and the lint fixtures
-/// are all outside these roots by construction.
+/// package's `src/` and every crate's `src/`. `target/`, `shims/` (the
+/// offline `proptest`/`criterion` test stubs), tests, benches, and the lint
+/// fixtures are all outside these roots by construction.
 fn lint_roots(root: &Path) -> Vec<PathBuf> {
     let mut roots = vec![root.join("src")];
     if let Ok(entries) = std::fs::read_dir(root.join("crates")) {

@@ -11,10 +11,8 @@
 //! configurations, and drives the dynamic runtime's model selection
 //! (Section 5.3).
 
-use serde::{Deserialize, Serialize};
-
 /// Fixed latencies outside the compute stage.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeadlineModel {
     /// Sensor capture + transfer latency (s).
     pub t_sensor: f64,

@@ -19,8 +19,8 @@
 //! research.
 
 use crate::app::ControlGains;
+use crate::lock;
 use crate::message::{AppMessage, TrailInfo};
-use parking_lot::Mutex;
 use rose_dnn::lower::{lower_inference, LoweringConfig};
 use rose_dnn::perception::PerceptionHead;
 use rose_dnn::DnnModel;
@@ -28,12 +28,11 @@ use rose_sim_core::rng::SimRng;
 use rose_socsim::kernel::Kernel;
 use rose_socsim::program::{ProgContext, TargetProgram};
 use rose_socsim::TargetOp;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Fusion-controller configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FusionConfig {
     /// The vision backbone.
     pub image_model: DnnModel,
@@ -190,7 +189,7 @@ impl TargetProgram for FusionApp {
                         } else {
                             // Sensor loss: dead-reckon on the previous
                             // inertial estimate rather than latch up.
-                            self.metrics.lock().dead_reckoned += 1;
+                            lock(&self.metrics).dead_reckoned += 1;
                         }
                         // Data-dependent branch decision: fresh vision on
                         // aggressive maneuvers or stale features.
@@ -243,7 +242,7 @@ impl TargetProgram for FusionApp {
                     let lateral =
                         self.gains.beta_lateral * (out.lateral.right() - out.lateral.left());
                     {
-                        let mut m = self.metrics.lock();
+                        let mut m = lock(&self.metrics);
                         m.steps += 1;
                         if self.run_image_branch {
                             m.image_branch_runs += 1;
@@ -311,7 +310,7 @@ pub fn run_fusion_mission(
     let (env, _rtl) = sync.into_parts();
     let sim = env.into_sim();
     let completed = sim.mission_complete();
-    let snapshot = metrics.lock().clone();
+    let snapshot = lock(&metrics).clone();
     FusionMissionReport {
         completed,
         mission_time_s: completed.then(|| sim.time()),

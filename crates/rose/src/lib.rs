@@ -70,3 +70,12 @@ pub mod snapshot;
 pub use app::{AppMetrics, ControllerChoice};
 pub use mission::{run_mission, MissionConfig, MissionReport};
 pub use snapshot::{Mission, MissionSnapshot};
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Locks an application-metrics mutex. The metrics are plain counters
+/// that a panic cannot leave torn, so a poisoned lock is recovered rather
+/// than failing every later access (the policy `SharedTimingCache` uses).
+pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}

@@ -18,12 +18,11 @@
 //! with a trained network; we ride the ground truth along the same data
 //! path so the closed loop sees identical message sizes and timing.
 
-use bytes::{Buf, BufMut};
-use serde::{Deserialize, Serialize};
+use rose_sim_core::snap::{SnapError, SnapReader, SnapWriter};
 use std::fmt;
 
 /// Ground-truth pose of the UAV relative to the trail at capture time.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct TrailInfo {
     /// Signed lateral offset in meters (positive = UAV left of trail).
     pub lateral_offset: f64,
@@ -37,7 +36,7 @@ pub struct TrailInfo {
 
 impl TrailInfo {
     /// Serializes the trail estimate.
-    pub fn save_state(&self, w: &mut rose_sim_core::snap::SnapWriter) {
+    pub fn save_state(&self, w: &mut SnapWriter) {
         let TrailInfo {
             lateral_offset,
             heading_error,
@@ -54,11 +53,8 @@ impl TrailInfo {
     ///
     /// # Errors
     ///
-    /// Propagates [`rose_sim_core::snap::SnapError`] on a malformed
-    /// snapshot.
-    pub fn restore_state(
-        r: &mut rose_sim_core::snap::SnapReader<'_>,
-    ) -> Result<TrailInfo, rose_sim_core::snap::SnapError> {
+    /// Propagates [`SnapError`] on a malformed snapshot.
+    pub fn restore_state(r: &mut SnapReader<'_>) -> Result<TrailInfo, SnapError> {
         Ok(TrailInfo {
             lateral_offset: r.f64()?,
             heading_error: r.f64()?,
@@ -69,7 +65,7 @@ impl TrailInfo {
 }
 
 /// An application-level message carried in a data packet.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum AppMessage {
     /// SoC → env: capture a camera frame.
     ImageRequest,
@@ -141,18 +137,25 @@ impl fmt::Display for MessageError {
 
 impl std::error::Error for MessageError {}
 
+/// The codec's reads only fail by running out of bytes.
+impl From<SnapError> for MessageError {
+    fn from(_: SnapError) -> MessageError {
+        MessageError::Truncated
+    }
+}
+
 impl AppMessage {
     /// Serializes the message to bytes.
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(16);
+        let mut w = SnapWriter::new();
         match self {
-            AppMessage::ImageRequest => buf.put_u8(TAG_IMAGE_REQ),
-            AppMessage::DepthRequest => buf.put_u8(TAG_DEPTH_REQ),
-            AppMessage::ImuRequest => buf.put_u8(TAG_IMU_REQ),
+            AppMessage::ImageRequest => w.u8(TAG_IMAGE_REQ),
+            AppMessage::DepthRequest => w.u8(TAG_DEPTH_REQ),
+            AppMessage::ImuRequest => w.u8(TAG_IMU_REQ),
             AppMessage::Imu { accel, gyro } => {
-                buf.put_u8(TAG_IMU);
+                w.u8(TAG_IMU);
                 for v in accel.iter().chain(gyro) {
-                    buf.put_f64_le(*v);
+                    w.f64(*v);
                 }
             }
             AppMessage::Image {
@@ -161,19 +164,16 @@ impl AppMessage {
                 pixels,
                 trail,
             } => {
-                buf.put_u8(TAG_IMAGE);
-                buf.put_u16_le(*width);
-                buf.put_u16_le(*height);
-                buf.put_u32_le(pixels.len() as u32);
-                buf.put_slice(pixels);
-                buf.put_f64_le(trail.lateral_offset);
-                buf.put_f64_le(trail.heading_error);
-                buf.put_f64_le(trail.half_width);
-                buf.put_f64_le(trail.progress);
+                w.u8(TAG_IMAGE);
+                w.u16(*width);
+                w.u16(*height);
+                w.u32(pixels.len() as u32);
+                w.append(pixels);
+                trail.save_state(&mut w);
             }
             AppMessage::Depth { depth } => {
-                buf.put_u8(TAG_DEPTH);
-                buf.put_f64_le(*depth);
+                w.u8(TAG_DEPTH);
+                w.f64(*depth);
             }
             AppMessage::Command {
                 forward,
@@ -181,14 +181,14 @@ impl AppMessage {
                 yaw_rate,
                 altitude,
             } => {
-                buf.put_u8(TAG_COMMAND);
-                buf.put_f64_le(*forward);
-                buf.put_f64_le(*lateral);
-                buf.put_f64_le(*yaw_rate);
-                buf.put_f64_le(*altitude);
+                w.u8(TAG_COMMAND);
+                w.f64(*forward);
+                w.f64(*lateral);
+                w.f64(*yaw_rate);
+                w.f64(*altitude);
             }
         }
-        buf
+        w.into_bytes()
     }
 
     /// Decodes a message from bytes.
@@ -198,71 +198,33 @@ impl AppMessage {
     /// [`MessageError::Truncated`] or [`MessageError::BadTag`] on corrupt
     /// payloads.
     pub fn decode(bytes: &[u8]) -> Result<AppMessage, MessageError> {
-        let mut buf = bytes;
-        if buf.is_empty() {
-            return Err(MessageError::Truncated);
-        }
-        let tag = buf.get_u8();
-        let need = |buf: &&[u8], n: usize| {
-            if buf.len() < n {
-                Err(MessageError::Truncated)
-            } else {
-                Ok(())
-            }
-        };
-        match tag {
-            TAG_IMAGE_REQ => Ok(AppMessage::ImageRequest),
-            TAG_DEPTH_REQ => Ok(AppMessage::DepthRequest),
-            TAG_IMU_REQ => Ok(AppMessage::ImuRequest),
-            TAG_IMU => {
-                need(&buf, 48)?;
-                let mut vals = [0.0f64; 6];
-                for v in &mut vals {
-                    *v = buf.get_f64_le();
-                }
-                Ok(AppMessage::Imu {
-                    accel: [vals[0], vals[1], vals[2]],
-                    gyro: [vals[3], vals[4], vals[5]],
-                })
-            }
-            TAG_IMAGE => {
-                need(&buf, 8)?;
-                let width = buf.get_u16_le();
-                let height = buf.get_u16_le();
-                let len = buf.get_u32_le() as usize;
-                need(&buf, len + 32)?;
-                let pixels = buf[..len].to_vec();
-                buf.advance(len);
-                let trail = TrailInfo {
-                    lateral_offset: buf.get_f64_le(),
-                    heading_error: buf.get_f64_le(),
-                    half_width: buf.get_f64_le(),
-                    progress: buf.get_f64_le(),
-                };
-                Ok(AppMessage::Image {
-                    width,
-                    height,
-                    pixels,
-                    trail,
-                })
-            }
-            TAG_DEPTH => {
-                need(&buf, 8)?;
-                Ok(AppMessage::Depth {
-                    depth: buf.get_f64_le(),
-                })
-            }
-            TAG_COMMAND => {
-                need(&buf, 32)?;
-                Ok(AppMessage::Command {
-                    forward: buf.get_f64_le(),
-                    lateral: buf.get_f64_le(),
-                    yaw_rate: buf.get_f64_le(),
-                    altitude: buf.get_f64_le(),
-                })
-            }
-            t => Err(MessageError::BadTag(t)),
-        }
+        let mut r = SnapReader::new(bytes);
+        Ok(match r.u8()? {
+            TAG_IMAGE_REQ => AppMessage::ImageRequest,
+            TAG_DEPTH_REQ => AppMessage::DepthRequest,
+            TAG_IMU_REQ => AppMessage::ImuRequest,
+            TAG_IMU => AppMessage::Imu {
+                accel: [r.f64()?, r.f64()?, r.f64()?],
+                gyro: [r.f64()?, r.f64()?, r.f64()?],
+            },
+            TAG_IMAGE => AppMessage::Image {
+                width: r.u16()?,
+                height: r.u16()?,
+                pixels: {
+                    let len = r.u32()? as usize;
+                    r.take(len)?.to_vec()
+                },
+                trail: TrailInfo::restore_state(&mut r)?,
+            },
+            TAG_DEPTH => AppMessage::Depth { depth: r.f64()? },
+            TAG_COMMAND => AppMessage::Command {
+                forward: r.f64()?,
+                lateral: r.f64()?,
+                yaw_rate: r.f64()?,
+                altitude: r.f64()?,
+            },
+            t => return Err(MessageError::BadTag(t)),
+        })
     }
 }
 

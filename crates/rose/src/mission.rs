@@ -10,8 +10,8 @@
 
 use crate::app::{AppMetrics, ControlGains, ControllerChoice, TrailNavApp};
 use crate::envside::CoSimEnv;
+use crate::lock;
 use crate::rtlside::SocRtl;
-use parking_lot::Mutex;
 use rose_bridge::faults::{FaultPlan, FaultStats, FaultyTransport};
 use rose_bridge::sync::{
     serve_rtl, RecoveryPolicy, RecoveryStats, RemoteRtl, SyncConfig, SyncStats, SyncTelemetry,
@@ -32,7 +32,7 @@ use rose_trace::{
     FlightRecorder, FlightSample, LogHistogram, MetricRegistry, Phase, Profiler, TraceClock,
     TraceLog, Tracer,
 };
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// The intra-period execution mode a mission configuration once selected.
@@ -416,7 +416,7 @@ pub fn drive_mission(
             sync: after.syncs,
             sim_time_s: sync.env().sim().time(),
             collisions: sync.env().sim().collision_count() as u64,
-            deadline_misses: metrics.lock().deadline_misses,
+            deadline_misses: lock(metrics).deadline_misses,
             queue_depth: after.data_to_env - before.data_to_env,
             env_wall_us: env_wall.as_secs_f64() * 1e6,
             rtl_wall_us: rtl_wall.as_secs_f64() * 1e6,
@@ -433,7 +433,7 @@ pub fn drive_mission(
         if let Some(pm) = flight.observe(sample, recent) {
             postmortems.push(pm);
         }
-        if metrics.lock().abort_requested {
+        if lock(metrics).abort_requested {
             // The degradation ladder's last rung: wind down cleanly with
             // a postmortem instead of flying blind to the timeout.
             postmortems.push(flight.postmortem(
@@ -634,7 +634,7 @@ fn assemble_report(
         log.sort_by_time();
         log
     });
-    let m = metrics.lock();
+    let m = lock(metrics);
 
     let completed = sim.mission_complete();
     let mission_time = completed.then(|| sim.time());
@@ -727,7 +727,7 @@ pub fn run_mission_with_faults(config: &MissionConfig, plan: FaultPlan) -> Fault
             sync: after.syncs,
             sim_time_s: sync.env().sim().time(),
             collisions: sync.env().sim().collision_count() as u64,
-            deadline_misses: metrics.lock().deadline_misses,
+            deadline_misses: lock(&metrics).deadline_misses,
             queue_depth: after.data_to_env - before.data_to_env,
             env_wall_us: env_wall.as_secs_f64() * 1e6,
             rtl_wall_us: rtl_wall.as_secs_f64() * 1e6,
@@ -745,7 +745,7 @@ pub fn run_mission_with_faults(config: &MissionConfig, plan: FaultPlan) -> Fault
         if ran == 0 {
             break; // complete, halted, or latched fault
         }
-        if metrics.lock().abort_requested {
+        if lock(&metrics).abort_requested {
             aborted = true;
             postmortems.push(flight.postmortem(
                 "mission-abort",

@@ -12,17 +12,16 @@
 //! target program: the closed loop couples flight state → solver
 //! iterations → SoC latency → control delay → flight state.
 
+use crate::lock;
 use crate::message::{AppMessage, TrailInfo};
-use parking_lot::Mutex;
 use rose_sim_core::math::clamp;
 use rose_socsim::kernel::Kernel;
 use rose_socsim::program::{ProgContext, TargetProgram};
 use rose_socsim::TargetOp;
-use serde::{Deserialize, Serialize};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Solver configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MpcConfig {
     /// Prediction horizon (steps).
     pub horizon: usize,
@@ -62,7 +61,7 @@ impl Default for MpcConfig {
 }
 
 /// The result of one solve.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MpcSolution {
     /// Optimized yaw-rate sequence.
     pub controls: Vec<f64>,
@@ -73,7 +72,7 @@ pub struct MpcSolution {
 }
 
 /// The corridor-tracking trajectory optimizer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MpcSolver {
     config: MpcConfig,
 }
@@ -250,7 +249,7 @@ impl TargetProgram for MpcApp {
                         self.velocity,
                     );
                     let ops = solution.iterations * self.solver.config().ops_per_iter;
-                    self.metrics.lock().iterations.push(solution.iterations);
+                    lock(&self.metrics).iterations.push(solution.iterations);
                     self.pending_solution = Some(solution);
                     self.state = State::SendCommand;
                     return TargetOp::CpuKernel(Kernel::Control { ops });
@@ -263,7 +262,7 @@ impl TargetProgram for MpcApp {
                     // offset (the solver handles heading).
                     let lateral = clamp(-1.2 * self.last_trail.lateral_offset, -2.5, 2.5);
                     {
-                        let mut m = self.metrics.lock();
+                        let mut m = lock(&self.metrics);
                         m.commands += 1;
                         m.latencies_cycles
                             .push(ctx.now().saturating_sub(self.request_cycle));
@@ -323,7 +322,7 @@ pub fn run_mpc_mission(
     let (env, _rtl) = sync.into_parts();
     let sim = env.into_sim();
     let completed = sim.mission_complete();
-    let m = metrics.lock().clone();
+    let m = lock(&metrics).clone();
     let mean_latency_ms = if m.latencies_cycles.is_empty() {
         0.0
     } else {

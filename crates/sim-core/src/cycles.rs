@@ -16,7 +16,6 @@
 //! [`SyncRatio`] encodes that relation and is the single source of truth for
 //! converting between domains.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
@@ -25,7 +24,7 @@ use std::ops::{Add, AddAssign, Sub};
 /// `Cycle` is an absolute position on the SoC timeline (cycle 0 is reset).
 /// Arithmetic is saturating-free: overflowing a `u64` cycle counter at 1 GHz
 /// would take ~585 years of simulated time, so plain addition is used.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Cycle(pub u64);
 
 impl Cycle {
@@ -85,7 +84,7 @@ impl fmt::Display for Cycle {
 ///
 /// One frame corresponds to one physics + rendering step of the environment
 /// simulator (the minimum time period of the AirSim-side domain).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Frame(pub u64);
 
 impl Frame {
@@ -126,7 +125,7 @@ impl fmt::Display for Frame {
 ///
 /// A property of the physical SoC being designed (Section 3.4.1); the default
 /// target used throughout the paper's evaluation is 1 GHz.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ClockSpec {
     hz: u64,
 }
@@ -179,7 +178,7 @@ impl fmt::Display for ClockSpec {
 /// The physics/render update rate of the environment simulator.
 ///
 /// A tunable simulation parameter (typically 60–120 Hz).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FrameSpec {
     hz: u32,
 }
@@ -225,7 +224,7 @@ impl fmt::Display for FrameSpec {
 /// synchronization period is expressed as `(frames, frames *
 /// cycles_per_frame)` so both simulators observe events at corresponding
 /// simulation times.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SyncRatio {
     clock: ClockSpec,
     frames: FrameSpec,
@@ -303,7 +302,7 @@ impl Default for SyncRatio {
 ///
 /// `SimTime` is advanced only by the synchronizer, which guarantees that the
 /// two counters always satisfy the lockstep invariant within one sync period.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SimTime {
     /// Current SoC cycle.
     pub cycle: Cycle,

@@ -183,6 +183,12 @@ impl SnapWriter {
         self.u8(v as u8);
     }
 
+    /// Appends raw bytes with no length prefix (the reader must know the
+    /// count; see [`SnapReader::take`]).
+    pub fn append(&mut self, b: &[u8]) {
+        self.buf.extend_from_slice(b);
+    }
+
     /// Writes a length-prefixed byte string.
     pub fn bytes(&mut self, b: &[u8]) {
         self.u64(b.len() as u64);
@@ -261,7 +267,13 @@ impl<'a> SnapReader<'a> {
         }
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], SnapError> {
+    /// Reads `n` raw bytes without copying them (the counterpart of
+    /// [`SnapWriter::append`]).
+    ///
+    /// # Errors
+    ///
+    /// [`SnapError::Truncated`] if fewer than `n` bytes remain.
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8], SnapError> {
         if self.remaining() < n {
             return Err(SnapError::Truncated {
                 wanted: n,
@@ -480,6 +492,7 @@ mod tests {
         w.f64(f64::from_bits(0x7ff8_dead_beef_0001)); // NaN payload
         w.bool(true);
         w.bytes(&[1, 2, 3]);
+        w.append(&[7, 8]);
         w.str("hello");
         w.opt_f64(Some(1.5));
         w.opt_f64(None);
@@ -501,6 +514,7 @@ mod tests {
         assert_eq!(r.f64().unwrap().to_bits(), 0x7ff8_dead_beef_0001);
         assert!(r.bool().unwrap());
         assert_eq!(r.bytes().unwrap(), vec![1, 2, 3]);
+        assert_eq!(r.take(2).unwrap(), &[7, 8]);
         assert_eq!(r.string().unwrap(), "hello");
         assert_eq!(r.opt_f64().unwrap(), Some(1.5));
         assert_eq!(r.opt_f64().unwrap(), None);

@@ -1,10 +1,9 @@
 //! Streaming statistics and histograms for the benchmark harness.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Streaming summary statistics (Welford's algorithm for variance).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Summary {
     count: u64,
     mean: f64,
@@ -152,7 +151,7 @@ impl fmt::Display for Summary {
 /// A collection of all observations, supporting exact percentiles.
 ///
 /// Used where the benchmark harness needs tail latencies rather than moments.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Samples {
     values: Vec<f64>,
     sorted: bool,
@@ -232,7 +231,7 @@ impl Extend<f64> for Samples {
 }
 
 /// A fixed-width histogram over `[lo, hi)` with overflow/underflow buckets.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     lo: f64,
     hi: f64,

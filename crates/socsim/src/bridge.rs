@@ -16,11 +16,10 @@
 //!   [`RoseBridgeHw::target_try_recv`], [`RoseBridgeHw::target_send`].
 
 use rose_sim_core::snap::{SnapError, SnapReader, SnapWriter};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Capacity defaults for the bridge hardware queues.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BridgeHwConfig {
     /// Maximum buffered messages per direction.
     pub queue_depth: usize,
@@ -29,7 +28,7 @@ pub struct BridgeHwConfig {
 }
 
 /// Counters exposed by the bridge for instrumentation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BridgeHwStats {
     /// Messages delivered SoC-ward.
     pub rx_msgs: u64,

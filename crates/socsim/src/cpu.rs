@@ -17,11 +17,10 @@
 use crate::kernel::{InstrClass, Kernel, KernelTrace};
 use crate::mem::MemSystem;
 use rose_sim_core::snap::{SnapError, SnapReader, SnapWriter};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Microarchitectural parameters of a core timing model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CpuConfig {
     /// Dispatch width (instructions per cycle).
     pub width: usize,
@@ -100,7 +99,7 @@ impl CpuConfig {
 }
 
 /// Aggregate execution counters for one core.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CpuStats {
     /// Dynamic instructions executed (scaled for sampled kernels).
     pub instrs: u64,

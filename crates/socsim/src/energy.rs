@@ -16,10 +16,9 @@ use crate::config::SocConfig;
 use crate::soc::SocStats;
 use crate::CoreKind;
 use rose_trace::{MetricRegistry, MetricSource};
-use serde::{Deserialize, Serialize};
 
 /// Energy coefficients.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyModel {
     /// Core energy per dynamic instruction (pJ) — set per core kind.
     pub core_pj_per_instr: f64,
@@ -55,7 +54,7 @@ impl EnergyModel {
 }
 
 /// Energy broken down by component, in millijoules.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EnergyReport {
     /// CPU dynamic energy.
     pub core_mj: f64,

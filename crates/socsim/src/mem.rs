@@ -8,10 +8,9 @@
 //! miss (Section 1).
 
 use rose_sim_core::snap::{SnapError, SnapReader, SnapWriter};
-use serde::{Deserialize, Serialize};
 
 /// Geometry of one cache level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
     pub size_bytes: usize,
@@ -64,7 +63,7 @@ impl CacheConfig {
 }
 
 /// Hit/miss counters for one cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
     /// Number of accesses that hit.
     pub hits: u64,
@@ -446,7 +445,7 @@ impl ContextHasher {
 }
 
 /// Memory system timing and geometry parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemConfig {
     /// L1 data cache geometry.
     pub l1d: CacheConfig,

@@ -1,8 +1,8 @@
 //! A minimal JSON parser for trace validation.
 //!
-//! The workspace builds with no registry access (serde resolves to a no-op
-//! stub), so validating an exported trace — in unit tests, the bench
-//! harness, and the CI smoke job — needs a real parser here. It is a
+//! The workspace builds from std alone, with no registry access, so
+//! validating an exported trace — in unit tests, the bench harness, and the
+//! CI smoke job — needs a parser of its own. It is a
 //! straightforward recursive-descent implementation of RFC 8259, built for
 //! correctness on trace-sized inputs rather than speed.
 

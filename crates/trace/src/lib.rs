@@ -25,8 +25,7 @@
 //!   that dumps self-contained JSON on collision / deadline miss /
 //!   transport fault / panic, with span-walk attribution.
 //! - [`json`] — a dependency-free JSON parser used to validate emitted
-//!   traces in tests and CI (the workspace builds offline; serde here is a
-//!   no-op stub).
+//!   traces in tests and CI (the workspace builds offline, from std alone).
 //!
 //! Only `rose-sim-core` sits below this crate, so every simulator crate
 //! (envsim, socsim, rose-bridge, rose) can depend on it without cycles.

@@ -45,7 +45,7 @@ fn main() {
     println!(
         "UAV at x = {:.1} m after {} inferences; SoC executed {:.2}e9 cycles",
         env.sim().pose().position.x,
-        metrics.lock().inferences,
+        metrics.lock().unwrap().inferences,
         rtl.soc().stats().cycles as f64 / 1e9
     );
 }

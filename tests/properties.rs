@@ -1,7 +1,6 @@
 //! Cross-crate property-based tests (proptest) on the co-simulation's
 //! structural invariants.
 
-use bytes::BytesMut;
 use proptest::prelude::*;
 use rose::message::{AppMessage, TrailInfo};
 use rose_bridge::packet::Packet;
@@ -19,16 +18,20 @@ proptest! {
         payload in proptest::collection::vec(any::<u8>(), 0..8192),
     ) {
         let pkt = Packet::Data { seq, payload };
-        let mut buf = BytesMut::from(&pkt.to_bytes()[..]);
-        prop_assert_eq!(Packet::decode(&mut buf).unwrap(), pkt);
-        prop_assert!(buf.is_empty());
+        let frame = pkt.to_bytes();
+        prop_assert_eq!(Packet::decode(&frame).unwrap(), (pkt, frame.len()));
     }
 
-    /// Decoding never panics on arbitrary bytes.
+    /// Decoding never panics on arbitrary bytes, and decoding a stream
+    /// packet after packet always consumes more than nothing and no more
+    /// than remains.
     #[test]
     fn packet_decode_never_panics(raw in proptest::collection::vec(any::<u8>(), 0..512)) {
-        let mut buf = BytesMut::from(&raw[..]);
-        let _ = Packet::decode(&mut buf);
+        let mut rest = &raw[..];
+        while let Ok((_, used)) = Packet::decode(rest) {
+            prop_assert!(used > 0 && used <= rest.len());
+            rest = &rest[used..];
+        }
     }
 
     /// App messages roundtrip for arbitrary finite field values.
