@@ -3,7 +3,7 @@
 //! 15) and of whole short missions.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use rose::mission::{build_mission, MissionConfig};
+use rose::mission::{build_mission, run_mission, MissionConfig};
 
 fn bench_sync_step(c: &mut Criterion) {
     let mut group = c.benchmark_group("sync_step");
@@ -37,13 +37,11 @@ fn bench_short_mission(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("two_sim_seconds", |b| {
         b.iter(|| {
-            let config = MissionConfig {
+            let report = run_mission(&MissionConfig {
                 max_sim_seconds: 2.0,
                 ..MissionConfig::default()
-            };
-            let (mut sync, _metrics) = build_mission(&config);
-            sync.run_until(u64::MAX, |env, _| env.sim().time() >= 2.0);
-            black_box(sync.stats().sim_cycles)
+            });
+            black_box(report.sync_stats.sim_cycles)
         })
     });
     group.finish();
@@ -58,14 +56,12 @@ fn bench_trace_overhead(c: &mut Criterion) {
     for (name, trace) in [("off", false), ("on", true)] {
         group.bench_function(name, |b| {
             b.iter(|| {
-                let config = MissionConfig {
+                let report = run_mission(&MissionConfig {
                     max_sim_seconds: 1.0,
                     trace,
                     ..MissionConfig::default()
-                };
-                let (mut sync, _metrics) = build_mission(&config);
-                sync.run_until(u64::MAX, |env, _| env.sim().time() >= 1.0);
-                black_box(sync.stats().sim_cycles)
+                });
+                black_box(report.sync_stats.sim_cycles)
             })
         });
     }

@@ -51,8 +51,8 @@
 //! the cache on exit; digests are cache-invisible by contract.
 
 use rose::audit::{audit_determinism, MissionDigest};
-use rose::mission::{run_mission, MissionConfig, MissionReport};
-use rose::snapshot::{Mission, MissionSnapshot};
+use rose::mission::{run_mission, Mission, MissionConfig, MissionReport};
+use rose::snapshot::MissionSnapshot;
 use rose_trace::{json, Phase, Stopwatch, Track};
 use std::path::PathBuf;
 use std::process::ExitCode;

@@ -11,10 +11,9 @@ use crate::report::TextTable;
 use crate::timing::with_timing_cache;
 use rose::app::ControllerChoice;
 use rose::mission::{
-    build_mission, finish_report, mission_parts, quantum_walls, run_mission, MissionConfig,
-    MissionReport,
+    host_walls, mission_parts, run_mission, Mission, MissionConfig, MissionReport,
 };
-use rose::snapshot::{Mission, MissionSnapshot};
+use rose::snapshot::MissionSnapshot;
 use rose_bridge::sync::{serve_rtl, RemoteRtl, Synchronizer};
 use rose_bridge::transport::TcpTransport;
 use rose_dnn::lower::time_inference;
@@ -23,7 +22,6 @@ use rose_envsim::WorldKind;
 use rose_sim_core::csv::CsvLog;
 use rose_sim_core::cycles::{FrameSpec, SyncRatio};
 use rose_socsim::SocConfig;
-use rose_trace::Profiler;
 use std::net::TcpListener;
 use std::thread;
 
@@ -281,7 +279,7 @@ pub fn fig15(sim_seconds_per_point: f64) -> Vec<Fig15Point> {
                 (sim_seconds_per_point * 100.0 / frames_per_sync as f64).ceil() as u64;
             sync.run_syncs(syncs.max(1));
             let stats = *sync.stats();
-            let (env_wall, rtl_wall) = quantum_walls(&Profiler::new(), sync.profiler());
+            let [env_wall, rtl_wall, _] = host_walls(sync.profiler());
             let (_, remote) = sync.into_parts();
             remote.shutdown().expect("shutdown");
             server.join().expect("server thread");
@@ -369,16 +367,4 @@ pub fn trajectories_csv(runs: &[LabeledRun]) -> CsvLog {
         }
     }
     log
-}
-
-/// Smoke configuration used by integration tests: a short mission that
-/// exercises the full stack in under a second.
-pub fn smoke_mission() -> MissionReport {
-    let mission = MissionConfig {
-        max_sim_seconds: 2.0,
-        ..MissionConfig::default()
-    };
-    let (mut sync, metrics) = build_mission(&mission);
-    sync.run_until(u64::MAX, |env, _| env.sim().time() >= 2.0);
-    finish_report(&mission, sync, &metrics)
 }

@@ -1,7 +1,16 @@
 //! Smoke tests for the experiment harness: the runners behind the figure
 //! binaries produce structurally valid results.
 
-use rose_bench::{mission_table, smoke_mission, table2, table3, trajectories_csv, LabeledRun};
+use rose::mission::{run_mission, MissionConfig, MissionReport};
+use rose_bench::{mission_table, table2, table3, trajectories_csv, LabeledRun};
+
+/// A short mission that exercises the full stack in well under a second.
+fn smoke_mission() -> MissionReport {
+    run_mission(&MissionConfig {
+        max_sim_seconds: 2.0,
+        ..MissionConfig::default()
+    })
+}
 
 #[test]
 fn table2_lists_three_configs() {

@@ -87,6 +87,19 @@ pub trait RtlSide {
     fn take_cost_model_wall(&mut self) -> Duration {
         Duration::ZERO
     }
+
+    /// The endpoint's recent trace events, which a flight recorder reads
+    /// non-destructively to attribute its postmortems. Default: none.
+    fn recent_events(&self) -> &[TraceEvent] {
+        &[]
+    }
+
+    /// Whether a transport fault has latched, and the cumulative
+    /// transport-recovery retries, for a flight recorder's per-quantum
+    /// sample. Default: a link that never faults.
+    fn link_health(&self) -> (bool, u64) {
+        (false, 0)
+    }
 }
 
 /// Bounded-retry recovery configuration for [`RemoteRtl`].
@@ -1010,6 +1023,12 @@ impl<T: Transport> RtlSide for RemoteRtl<T> {
 
     fn take_recovery_wall(&mut self) -> Duration {
         std::mem::take(&mut self.recovery_wall)
+    }
+
+    // The remote SoC's tracer buffer lives with the server, so a recorder
+    // here sees only boundary samples, plus the link's health.
+    fn link_health(&self) -> (bool, u64) {
+        (self.fault.is_some(), self.recovery.retries)
     }
 }
 

@@ -68,8 +68,8 @@ pub mod rtlside;
 pub mod snapshot;
 
 pub use app::{AppMetrics, ControllerChoice};
-pub use mission::{run_mission, MissionConfig, MissionReport};
-pub use snapshot::{Mission, MissionSnapshot};
+pub use mission::{run_mission, Mission, MissionConfig, MissionReport};
+pub use snapshot::MissionSnapshot;
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 

@@ -14,8 +14,8 @@ use crate::lock;
 use crate::rtlside::SocRtl;
 use rose_bridge::faults::{FaultPlan, FaultStats, FaultyTransport};
 use rose_bridge::sync::{
-    serve_rtl, RecoveryPolicy, RecoveryStats, RemoteRtl, SyncConfig, SyncStats, SyncTelemetry,
-    Synchronizer,
+    serve_rtl, RecoveryPolicy, RecoveryStats, RemoteRtl, RtlSide, SyncConfig, SyncStats,
+    SyncTelemetry, Synchronizer,
 };
 use rose_bridge::transport::ChannelTransport;
 use rose_dnn::DnnModel;
@@ -374,85 +374,196 @@ impl MissionReport {
     }
 }
 
-/// Builds and runs one mission to completion (goal or timeout), with the
-/// flight recorder sampling every synchronization boundary.
+/// Builds and runs one mission to completion (goal, halt, timeout, or a
+/// clean abort), with the flight recorder sampling every synchronization
+/// boundary.
 pub fn run_mission(config: &MissionConfig) -> MissionReport {
-    let (mut sync, metrics) = build_mission(config);
-    let mut flight = FlightRecorder::default();
-    let postmortems = drive_mission(config, &mut sync, &metrics, &mut flight);
-    let mut report = finish_report(config, sync, &metrics);
-    report.postmortems = postmortems;
-    report.flight_occupancy = flight.occupancy();
-    report.flight_capacity = flight.capacity();
-    report
+    Mission::start(config).run_to_completion()
 }
 
-/// Steps the co-simulation one synchronization period at a time until the
-/// mission completes, the program halts, or the simulated-time wall is
-/// reached, feeding `flight` one [`FlightSample`] per quantum. Returns the
-/// postmortem JSON documents the recorder dumped.
+/// A running (or paused) mission: the full co-simulation, its
+/// configuration, and its flight recorder, steppable in units of
+/// synchronization periods and snapshottable at any quantum boundary
+/// ([`crate::snapshot`]).
 ///
-/// The per-quantum loop is host bookkeeping only — the simulated system
-/// sees exactly the same grant sequence as one
-/// [`Synchronizer::run_until`] call, so trajectories and the determinism
-/// digest are unchanged.
-pub fn drive_mission(
-    config: &MissionConfig,
-    sync: &mut Synchronizer<CoSimEnv, SocRtl>,
-    metrics: &Mutex<AppMetrics>,
-    flight: &mut FlightRecorder,
-) -> Vec<String> {
-    let max_syncs = config.max_syncs();
-    let mut postmortems = Vec::new();
-    while sync.stats().syncs < max_syncs {
-        let before = *sync.stats();
-        let profile_before = sync.profiler().clone();
-        if sync.run_until(1, |env, _| env.sim().mission_complete()) == 0 {
-            break; // mission complete or program halted
-        }
-        let after = *sync.stats();
-        let (env_wall, rtl_wall) = quantum_walls(&profile_before, sync.profiler());
-        let sample = FlightSample {
-            sync: after.syncs,
-            sim_time_s: sync.env().sim().time(),
-            collisions: sync.env().sim().collision_count() as u64,
-            deadline_misses: lock(metrics).deadline_misses,
-            queue_depth: after.data_to_env - before.data_to_env,
-            env_wall_us: env_wall.as_secs_f64() * 1e6,
-            rtl_wall_us: rtl_wall.as_secs_f64() * 1e6,
-            // In-process RTL: no transport, so never a fault and never
-            // recovery work.
-            fault: false,
-            recovery_retries: 0,
-            recovery_us: 0.0,
+/// Every in-process runner — [`run_mission`], snapshot resume and fork,
+/// [`run_mission_multitenant`], and [`run_mission_with_faults`] — flies
+/// through one private per-quantum step, so they all feed the recorder
+/// and agree on when a mission ends. `R` is the RTL endpoint: the SoC
+/// itself, or a [`RemoteRtl`] when the SoC sits behind a transport.
+#[derive(Debug)]
+pub struct Mission<R = SocRtl> {
+    config: MissionConfig,
+    pub(crate) sync: Synchronizer<CoSimEnv, R>,
+    metrics: Arc<Mutex<AppMetrics>>,
+    flight: FlightRecorder,
+    postmortems: Vec<String>,
+    /// [`AppMetrics::abort_requested`] as of the last quantum (or the
+    /// restored snapshot), kept here so the step locks the metrics once.
+    aborted: bool,
+}
+
+impl<R: RtlSide> Mission<R> {
+    /// Wraps a built — or snapshot-restored — synchronizer. The recorder
+    /// diffs against the current counters, so a resumed mission fires no
+    /// spurious rising edge on its first quantum, and a mission restored
+    /// after its abort never steps again.
+    pub(crate) fn new(
+        config: MissionConfig,
+        sync: Synchronizer<CoSimEnv, R>,
+        metrics: Arc<Mutex<AppMetrics>>,
+    ) -> Mission<R> {
+        let (deadline_misses, aborted) = {
+            let m = lock(&metrics);
+            (m.deadline_misses, m.abort_requested)
         };
-        // Attribution reads the SoC tracer's buffer non-destructively;
-        // with tracing off this is an empty slice and the recorder costs
-        // a few counter compares per quantum.
-        let recent = sync.rtl().soc().tracer().events();
-        if let Some(pm) = flight.observe(sample, recent) {
-            postmortems.push(pm);
-        }
-        if lock(metrics).abort_requested {
-            // The degradation ladder's last rung: wind down cleanly with
-            // a postmortem instead of flying blind to the timeout.
-            postmortems.push(flight.postmortem(
-                "mission-abort",
-                "sustained degraded-control streak",
-            ));
-            break;
+        let mut mission = Mission {
+            config,
+            sync,
+            metrics,
+            flight: FlightRecorder::default(),
+            postmortems: Vec::new(),
+            aborted,
+        };
+        mission
+            .flight
+            .set_baseline(mission.boundary_sample(deadline_misses));
+        mission
+    }
+
+    /// The mission's absolute counters at the current boundary.
+    fn boundary_sample(&self, deadline_misses: u64) -> FlightSample {
+        let sim = self.sync.env().sim();
+        let (fault, recovery_retries) = self.sync.rtl().link_health();
+        FlightSample {
+            sync: self.sync.stats().syncs,
+            sim_time_s: sim.time(),
+            collisions: sim.collision_count() as u64,
+            deadline_misses,
+            fault,
+            recovery_retries,
+            ..FlightSample::default()
         }
     }
-    postmortems
+
+    /// The one per-quantum step of every runner: runs one synchronization
+    /// period, feeds the recorder its sample, and returns whether the
+    /// mission flies on. It runs nothing at the simulated-time wall
+    /// ([`MissionConfig::max_sim_seconds`], counting periods executed
+    /// before a snapshot), at the goal, after a halt or latched transport
+    /// fault, or once the application has requested its clean abort.
+    ///
+    /// The step is host bookkeeping only: the simulated system sees the
+    /// same grant sequence as one [`Synchronizer::run_until`] call.
+    fn step(&mut self) -> bool {
+        if self.aborted || self.sync.stats().syncs >= self.config.max_syncs() {
+            return false;
+        }
+        let queued = self.sync.stats().data_to_env;
+        let [env0, rtl0, recovery0] = host_walls(self.sync.profiler());
+        let ran = self
+            .sync
+            .run_until(1, |env, _| env.sim().mission_complete());
+        if ran == 0 {
+            return false;
+        }
+        let [env1, rtl1, recovery1] = host_walls(self.sync.profiler());
+        let (deadline_misses, aborted) = {
+            let m = lock(&self.metrics);
+            (m.deadline_misses, m.abort_requested)
+        };
+        let us = |d: Duration| d.as_secs_f64() * 1e6;
+        let sample = FlightSample {
+            queue_depth: self.sync.stats().data_to_env - queued,
+            env_wall_us: us(env1 - env0),
+            rtl_wall_us: us(rtl1 - rtl0),
+            recovery_us: us(recovery1 - recovery0),
+            ..self.boundary_sample(deadline_misses)
+        };
+        if let Some(pm) = self.flight.observe(sample, self.sync.rtl().recent_events()) {
+            self.postmortems.push(pm);
+        }
+        if aborted {
+            // The degradation ladder's last rung: wind down cleanly with
+            // a postmortem instead of flying blind to the timeout.
+            self.aborted = true;
+            self.postmortems.push(
+                self.flight
+                    .postmortem("mission-abort", "sustained degraded-control streak"),
+            );
+        }
+        !aborted
+    }
+
+    /// Extracts the report, with `into_soc` turning the RTL endpoint back
+    /// into the SoC (the identity in process; behind a transport, the
+    /// server thread hands it back).
+    fn finish_with(self, into_soc: impl FnOnce(R) -> SocRtl) -> MissionReport {
+        let mut report = report_of(&self.config, self.sync, &self.metrics, into_soc);
+        report.postmortems = self.postmortems;
+        report.flight_occupancy = self.flight.occupancy();
+        report.flight_capacity = self.flight.capacity();
+        report
+    }
 }
 
-/// The environment and RTL halves of the host wall time a synchronizer's
-/// profile gained since `before`. The RTL half is the whole grant, its
-/// recovery and cost-model carve-outs included.
-pub fn quantum_walls(before: &Profiler, after: &Profiler) -> (Duration, Duration) {
-    let gained = |phase| after.total(phase) - before.total(phase);
-    let rtl = gained(Phase::RtlGrant) + gained(Phase::Recovery) + gained(Phase::CostModel);
-    (gained(Phase::EnvStep), rtl)
+impl Mission {
+    /// Builds a mission at its initial state (nothing executed yet).
+    pub fn start(config: &MissionConfig) -> Mission {
+        let (sync, metrics) = build_mission(config);
+        Mission::new(config.clone(), sync, metrics)
+    }
+
+    /// The mission's configuration.
+    pub fn config(&self) -> &MissionConfig {
+        &self.config
+    }
+
+    /// Synchronization periods executed so far.
+    pub fn syncs_executed(&self) -> u64 {
+        self.sync.stats().syncs
+    }
+
+    /// Runs up to `n` synchronization periods, stopping early wherever
+    /// the mission ends (goal, halt, timeout, or clean abort). Returns the
+    /// number executed.
+    pub fn run_syncs(&mut self, n: u64) -> u64 {
+        let start = self.syncs_executed();
+        while self.syncs_executed() - start < n && self.step() {}
+        self.syncs_executed() - start
+    }
+
+    /// Runs until the mission ends, then extracts the report. Periods
+    /// already executed (including those executed before a snapshot was
+    /// taken) count against the simulated-time wall.
+    pub fn run_to_completion(mut self) -> MissionReport {
+        while self.step() {}
+        self.finish()
+    }
+
+    /// Extracts the report at the current position without running further.
+    pub fn finish(self) -> MissionReport {
+        self.finish_with(|rtl| rtl)
+    }
+
+    /// Rotates the UAV in place by `dyaw` radians — the divergence knob
+    /// for forked sweep branches.
+    pub fn perturb_yaw(&mut self, dyaw: f64) {
+        self.sync.env_mut().sim_mut().perturb_yaw(dyaw);
+    }
+}
+
+/// The host wall time a synchronizer's profile has attributed to the
+/// environment, to the RTL side, and to transport-fault recovery, in that
+/// order. The RTL total is the whole grant, its recovery and cost-model
+/// carve-outs included.
+pub fn host_walls(profile: &Profiler) -> [Duration; 3] {
+    let recovery = profile.total(Phase::Recovery);
+    [
+        profile.total(Phase::EnvStep),
+        profile.total(Phase::RtlGrant) + recovery + profile.total(Phase::CostModel),
+        recovery,
+    ]
 }
 
 /// Constructs the full co-simulation for `config` without running it
@@ -464,11 +575,22 @@ pub fn build_mission(
     Arc<Mutex<AppMetrics>>,
 ) {
     let (env, rtl, sync_config, metrics) = mission_parts(config);
+    (synchronizer(config, sync_config, env, rtl), metrics)
+}
+
+/// Wires the endpoints into a lockstep synchronizer, traced when the
+/// config asks for it.
+fn synchronizer<R: RtlSide>(
+    config: &MissionConfig,
+    sync_config: SyncConfig,
+    env: CoSimEnv,
+    rtl: R,
+) -> Synchronizer<CoSimEnv, R> {
     let mut sync = Synchronizer::new(sync_config, env, rtl);
     if config.trace {
         sync.set_tracer(Tracer::enabled(config.trace_clock()));
     }
-    (sync, metrics)
+    sync
 }
 
 /// Constructs the mission's endpoints without a synchronizer — used by
@@ -477,18 +599,24 @@ pub fn build_mission(
 pub fn mission_parts(
     config: &MissionConfig,
 ) -> (CoSimEnv, SocRtl, SyncConfig, Arc<Mutex<AppMetrics>>) {
-    let rng = SimRng::new(config.seed);
+    let (app, metrics) = trail_nav_app(config);
+    let (env, rtl, sync_config) = mission_parts_with_program(config, Box::new(app));
+    (env, rtl, sync_config, metrics)
+}
+
+/// The mission's control application, configured from `config`: gains,
+/// deadline budget, and the degradation ladder's abort streak.
+fn trail_nav_app(config: &MissionConfig) -> (TrailNavApp, Arc<Mutex<AppMetrics>>) {
     let (mut app, metrics) = TrailNavApp::new(
         config.controller,
         config.soc.has_accelerator(),
         config.velocity,
-        &rng,
+        &SimRng::new(config.seed),
     );
     app.set_gains(config.gains);
     app.set_deadline_budget(config.deadline_budget_s, config.soc.clock.hz() as f64);
     app.set_abort_after_degraded(config.degraded_abort_streak);
-    let (env, rtl, sync_config) = mission_parts_with_program(config, Box::new(app));
-    (env, rtl, sync_config, metrics)
+    (app, metrics)
 }
 
 /// Synchronization quanta a blocked sensor read waits before the SoC's RX
@@ -561,24 +689,12 @@ pub fn run_mission_multitenant(
 ) -> (MissionReport, u64) {
     use rose_socsim::multitenant::{TelemetryTask, TimeShared};
 
-    let rng = SimRng::new(config.seed);
-    let (mut app, metrics) = TrailNavApp::new(
-        config.controller,
-        config.soc.has_accelerator(),
-        config.velocity,
-        &rng,
-    );
-    app.set_gains(config.gains);
-    app.set_deadline_budget(config.deadline_budget_s, config.soc.clock.hz() as f64);
+    let (app, metrics) = trail_nav_app(config);
     let (telemetry, loops) = TelemetryTask::new(telemetry_block_bytes);
     let shared = TimeShared::new(Box::new(app), Box::new(telemetry), sharing);
     let (env, rtl, sync_config) = mission_parts_with_program(config, Box::new(shared));
-    let mut sync = Synchronizer::new(sync_config, env, rtl);
-    if config.trace {
-        sync.set_tracer(Tracer::enabled(config.trace_clock()));
-    }
-    sync.run_until(config.max_syncs(), |env, _| env.sim().mission_complete());
-    let report = finish_report(config, sync, &metrics);
+    let sync = synchronizer(config, sync_config, env, rtl);
+    let report = Mission::new(config.clone(), sync, metrics).run_to_completion();
     let processed = loops.load(std::sync::atomic::Ordering::Relaxed);
     (report, processed)
 }
@@ -586,43 +702,27 @@ pub fn run_mission_multitenant(
 /// Extracts the report after a run (exposed for benches).
 pub fn finish_report(
     config: &MissionConfig,
-    mut sync: Synchronizer<CoSimEnv, SocRtl>,
+    sync: Synchronizer<CoSimEnv, SocRtl>,
     metrics: &Mutex<AppMetrics>,
+) -> MissionReport {
+    report_of(config, sync, metrics, |rtl| rtl)
+}
+
+/// Assembles a [`MissionReport`] from a finished synchronizer, with
+/// `into_soc` turning its RTL endpoint back into the SoC.
+fn report_of<R: RtlSide>(
+    config: &MissionConfig,
+    mut sync: Synchronizer<CoSimEnv, R>,
+    metrics: &Mutex<AppMetrics>,
+    into_soc: impl FnOnce(R) -> SocRtl,
 ) -> MissionReport {
     let sync_stats = *sync.stats();
     let sync_telemetry = sync.telemetry().clone();
     let profile = sync.profiler().clone();
     let sync_events = sync.take_trace_events();
     let (env, rtl) = sync.into_parts();
-    assemble_report(
-        config,
-        sync_stats,
-        sync_telemetry,
-        profile,
-        sync_events,
-        env,
-        rtl,
-        metrics,
-    )
-}
-
-/// Assembles a [`MissionReport`] from a run's disassembled pieces. Shared
-/// by the in-process topology ([`finish_report`]) and the remote one
-/// ([`run_mission_with_faults`]), where the RTL endpoint comes back from
-/// the server thread rather than out of the synchronizer.
-#[allow(clippy::too_many_arguments)]
-fn assemble_report(
-    config: &MissionConfig,
-    sync_stats: SyncStats,
-    sync_telemetry: SyncTelemetry,
-    profile: Profiler,
-    sync_events: Vec<rose_trace::TraceEvent>,
-    env: CoSimEnv,
-    rtl: SocRtl,
-    metrics: &Mutex<AppMetrics>,
-) -> MissionReport {
     let mut sim = env.into_sim();
-    let mut soc = rtl.into_soc();
+    let mut soc = into_soc(rtl).into_soc();
     let soc_stats = soc.stats();
     let kernel_cycles = soc.kernel_cycles_hist().clone();
     // Merge each component's owned trace buffer into one chronological log.
@@ -707,81 +807,26 @@ pub fn run_mission_with_faults(config: &MissionConfig, plan: FaultPlan) -> Fault
         (rtl, result)
     });
     let remote = RemoteRtl::with_policy(FaultyTransport::new(client, plan), config.recovery);
-    let mut sync = Synchronizer::new(sync_config, env, remote);
-    if config.trace {
-        sync.set_tracer(Tracer::enabled(config.trace_clock()));
-    }
+    let sync = synchronizer(config, sync_config, env, remote);
+    let mut mission = Mission::new(config.clone(), sync, metrics);
+    while mission.step() {}
 
-    let max_syncs = config.max_syncs();
-    let mut flight = FlightRecorder::default();
-    let mut postmortems = Vec::new();
-    let mut aborted = false;
-    while sync.stats().syncs < max_syncs {
-        let before = *sync.stats();
-        let profile_before = sync.profiler().clone();
-        let recovery_before = profile_before.total(Phase::Recovery);
-        let ran = sync.run_until(1, |env, _| env.sim().mission_complete());
-        let after = *sync.stats();
-        let (env_wall, rtl_wall) = quantum_walls(&profile_before, sync.profiler());
-        let sample = FlightSample {
-            sync: after.syncs,
-            sim_time_s: sync.env().sim().time(),
-            collisions: sync.env().sim().collision_count() as u64,
-            deadline_misses: lock(&metrics).deadline_misses,
-            queue_depth: after.data_to_env - before.data_to_env,
-            env_wall_us: env_wall.as_secs_f64() * 1e6,
-            rtl_wall_us: rtl_wall.as_secs_f64() * 1e6,
-            fault: sync.rtl().fault().is_some(),
-            recovery_retries: sync.rtl().recovery_stats().retries,
-            recovery_us: (sync.profiler().total(Phase::Recovery) - recovery_before)
-                .as_secs_f64()
-                * 1e6,
-        };
-        // The remote SoC's tracer buffer lives on the server thread, so
-        // attribution here sees only boundary samples.
-        if let Some(pm) = flight.observe(sample, &[]) {
-            postmortems.push(pm);
-        }
-        if ran == 0 {
-            break; // complete, halted, or latched fault
-        }
-        if lock(&metrics).abort_requested {
-            aborted = true;
-            postmortems.push(flight.postmortem(
-                "mission-abort",
-                "sustained degraded-control streak",
-            ));
-            break;
-        }
-    }
-
-    let sync_stats = *sync.stats();
-    let sync_telemetry = sync.telemetry().clone();
-    let profile = sync.profiler().clone();
-    let sync_events = sync.take_trace_events();
-    let (env, remote) = sync.into_parts();
-    let fault_stats = *remote.transport().stats();
-    let recovery = *remote.recovery_stats();
-    let latched = remote.fault().map(|e| e.to_string());
-    // Orderly shutdown when healthy; on a latched fault this returns the
-    // error and dropping the transport disconnects the server instead.
-    let _ = remote.shutdown();
-    let (rtl, served) = server_thread.join().expect("rtl server thread");
-    debug_assert!(served.is_ok(), "server exited with {served:?}");
-
-    let mut report = assemble_report(
-        config,
-        sync_stats,
-        sync_telemetry,
-        profile,
-        sync_events,
-        env,
-        rtl,
-        &metrics,
-    );
-    report.postmortems = postmortems;
-    report.flight_occupancy = flight.occupancy();
-    report.flight_capacity = flight.capacity();
+    let aborted = mission.aborted;
+    let mut link = None;
+    let report = mission.finish_with(|remote| {
+        link = Some((
+            *remote.transport().stats(),
+            *remote.recovery_stats(),
+            remote.fault().map(|e| e.to_string()),
+        ));
+        // Orderly shutdown when healthy; on a latched fault this returns
+        // the error and dropping the transport disconnects the server.
+        let _ = remote.shutdown();
+        let (rtl, served) = server_thread.join().expect("rtl server thread");
+        debug_assert!(served.is_ok(), "server exited with {served:?}");
+        rtl
+    });
+    let (fault_stats, recovery, latched) = link.expect("finish_with hands over the endpoint");
     FaultedMissionReport {
         report,
         fault_stats,

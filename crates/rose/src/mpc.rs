@@ -314,10 +314,7 @@ pub fn run_mpc_mission(
     let (app, metrics) = MpcApp::new(mpc, mission.velocity);
     let (env, rtl, sync_config) = mission_parts_with_program(mission, Box::new(app));
     let mut sync = Synchronizer::new(sync_config, env, rtl);
-    let max_syncs = (mission.max_sim_seconds * mission.frame_hz as f64
-        / mission.frames_per_sync as f64)
-        .ceil() as u64;
-    sync.run_until(max_syncs, |env, _| env.sim().mission_complete());
+    sync.run_until(mission.max_syncs(), |env, _| env.sim().mission_complete());
 
     let (env, _rtl) = sync.into_parts();
     let sim = env.into_sim();

@@ -78,6 +78,12 @@ impl RtlSide for SocRtl {
     fn take_cost_model_wall(&mut self) -> std::time::Duration {
         self.soc.take_cost_model_wall()
     }
+
+    // Empty with tracing off, so the flight recorder then costs a few
+    // counter compares per quantum.
+    fn recent_events(&self) -> &[rose_trace::TraceEvent] {
+        self.soc.tracer().events()
+    }
 }
 
 #[cfg(test)]

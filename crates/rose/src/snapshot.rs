@@ -32,104 +32,17 @@
 //! per sweep point, perturbing each branch (initial yaw, gains) before
 //! running it to completion.
 
-use crate::app::AppMetrics;
-use crate::envside::CoSimEnv;
-use crate::mission::{build_mission, finish_report, MissionConfig, MissionReport};
-use crate::rtlside::SocRtl;
-use rose_bridge::sync::Synchronizer;
+use crate::mission::{build_mission, Mission, MissionConfig};
 use rose_sim_core::snap::{SnapError, SnapReader, SnapWriter};
-use std::sync::{Arc, Mutex};
-
-/// A running (or paused) mission: the full co-simulation plus its
-/// configuration, steppable in units of synchronization periods and
-/// snapshottable at any quantum boundary.
-#[derive(Debug)]
-pub struct Mission {
-    config: MissionConfig,
-    sync: Synchronizer<CoSimEnv, SocRtl>,
-    metrics: Arc<Mutex<AppMetrics>>,
-}
 
 impl Mission {
-    /// Builds a mission at its initial state (nothing executed yet).
-    pub fn start(config: &MissionConfig) -> Mission {
-        let (sync, metrics) = build_mission(config);
-        Mission {
-            config: config.clone(),
-            sync,
-            metrics,
-        }
-    }
-
-    /// The mission's configuration.
-    pub fn config(&self) -> &MissionConfig {
-        &self.config
-    }
-
-    /// The environment endpoint.
-    pub fn env(&self) -> &CoSimEnv {
-        self.sync.env()
-    }
-
-    /// The RTL endpoint.
-    pub fn rtl(&self) -> &SocRtl {
-        self.sync.rtl()
-    }
-
-    /// Synchronization periods executed so far.
-    pub fn syncs_executed(&self) -> u64 {
-        self.sync.stats().syncs
-    }
-
-    /// True once the UAV has crossed the goal plane.
-    pub fn complete(&self) -> bool {
-        self.sync.env().sim().mission_complete()
-    }
-
-    /// Shared handle to the application's metrics.
-    pub fn metrics(&self) -> Arc<Mutex<AppMetrics>> {
-        Arc::clone(&self.metrics)
-    }
-
-    /// Runs up to `n` synchronization periods, stopping early at mission
-    /// completion or an SoC halt. Returns the number executed.
-    pub fn run_syncs(&mut self, n: u64) -> u64 {
-        self.sync.run_until(n, |env, _| env.sim().mission_complete())
-    }
-
-    /// Runs until the mission completes, the SoC halts, or the simulated
-    /// time wall ([`MissionConfig::max_sim_seconds`]) is reached, then
-    /// extracts the report. Periods already executed (including those
-    /// executed before a snapshot was taken) count against the wall.
-    pub fn run_to_completion(self) -> MissionReport {
-        let Mission {
-            config,
-            mut sync,
-            metrics,
-        } = self;
-        let remaining = config.max_syncs().saturating_sub(sync.stats().syncs);
-        sync.run_until(remaining, |env, _| env.sim().mission_complete());
-        finish_report(&config, sync, &metrics)
-    }
-
-    /// Extracts the report at the current position without running further.
-    pub fn finish(self) -> MissionReport {
-        finish_report(&self.config, self.sync, &self.metrics)
-    }
-
-    /// Rotates the UAV in place by `dyaw` radians — the divergence knob
-    /// for forked sweep branches.
-    pub fn perturb_yaw(&mut self, dyaw: f64) {
-        self.sync.env_mut().sim_mut().perturb_yaw(dyaw);
-    }
-
     /// Serializes the complete co-simulation state. Valid at any quantum
     /// boundary (between [`run_syncs`](Mission::run_syncs) calls).
     pub fn snapshot(&self) -> MissionSnapshot {
         let mut w = SnapWriter::new();
         w.section(MissionSnapshot::MAGIC);
         w.u16(MissionSnapshot::VERSION);
-        self.config.save_state(&mut w);
+        self.config().save_state(&mut w);
         self.sync.env().save_state(&mut w);
         self.sync.rtl().save_state(&mut w);
         self.sync.save_state(&mut w);
@@ -219,11 +132,7 @@ impl MissionSnapshot {
         sync.rtl_mut().restore_state(&mut r)?;
         sync.restore_state(&mut r)?;
         r.finish()?;
-        Ok(Mission {
-            config,
-            sync,
-            metrics,
-        })
+        Ok(Mission::new(config, sync, metrics))
     }
 
     fn read_header(r: &mut SnapReader<'_>) -> Result<(), SnapError> {

@@ -15,8 +15,7 @@
 //!   abort.
 
 use rose::audit::MissionDigest;
-use rose::mission::{run_mission, run_mission_with_faults, MissionConfig};
-use rose::snapshot::Mission;
+use rose::mission::{run_mission, run_mission_with_faults, Mission, MissionConfig};
 use rose_bridge::faults::{FaultKind, FaultPlan};
 use rose_bridge::sync::RecoveryPolicy;
 use rose_sim_core::math::Vec3;
@@ -165,20 +164,46 @@ fn degraded() -> MissionConfig {
     }
 }
 
+/// [`degraded`] with a blackout that never ends and the abort rung armed:
+/// the ladder aborts the mission a fraction of a second into the
+/// blackout, long before its 6 s wall.
+fn aborting() -> MissionConfig {
+    MissionConfig {
+        max_sim_seconds: 6.0,
+        depth_blackouts: vec![(0.5, 100.0)],
+        degraded_abort_streak: 3,
+        ..degraded()
+    }
+}
+
 #[test]
 fn degraded_mission_survives_snapshot_and_resume_bit_identically() {
-    let config = degraded();
-    let straight = MissionDigest::of(&run_mission(&config));
-    // Boundaries before, inside, and after the blackout window.
-    for boundary in [1, 40, 70] {
-        let mut mission = Mission::start(&config);
-        mission.run_syncs(boundary);
-        let resumed = mission.snapshot().resume().expect("snapshot must resume");
+    for config in [degraded(), aborting()] {
+        let report = run_mission(&config);
+        let straight = MissionDigest::of(&report);
         assert_eq!(
-            MissionDigest::of(&resumed.run_to_completion()),
+            MissionDigest::of(&Mission::start(&config).run_to_completion()),
             straight,
-            "divergence after snapshot at sync {boundary}"
+            "run_mission and Mission::run_to_completion must fly the same mission"
         );
+        if config.degraded_abort_streak > 0 {
+            assert!(report.app.abort_requested, "the ladder must abort");
+            assert!(report.sync_stats.syncs < 60, "the abort precedes sync 60");
+        }
+        // Boundaries before, inside, and after the blackout window — and,
+        // for the aborting mission, before and after the abort (a run
+        // asked to pass the abort stops at it, so the last snapshot is of
+        // an aborted mission, which must not fly on when resumed).
+        for boundary in [1, 40, 70] {
+            let mut mission = Mission::start(&config);
+            mission.run_syncs(boundary);
+            let resumed = mission.snapshot().resume().expect("snapshot must resume");
+            assert_eq!(
+                MissionDigest::of(&resumed.run_to_completion()),
+                straight,
+                "divergence after snapshot at sync {boundary}"
+            );
+        }
     }
 }
 

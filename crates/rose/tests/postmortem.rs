@@ -6,7 +6,7 @@
 //! compute, and a mission whose remote RTL peer dies dumps a
 //! `transport-fault` postmortem carrying the latched fault.
 
-use rose::mission::{mission_parts, run_mission, MissionConfig};
+use rose::mission::{mission_parts, run_mission, Mission, MissionConfig, MissionReport};
 use rose_bridge::sync::{RemoteRtl, Synchronizer};
 use rose_bridge::transport::ChannelTransport;
 use rose_trace::flight::POSTMORTEM_SCHEMA;
@@ -56,6 +56,48 @@ fn deadline_miss_postmortem_blames_compute() {
     // The ring carries context, not just the trigger sample.
     let ring = parsed.get("ring").and_then(|r| r.as_array()).expect("ring");
     assert!(!ring.is_empty());
+}
+
+/// The `(reason, sync)` pair of every postmortem a mission dumped.
+fn triggers(report: &MissionReport) -> Vec<(String, u64)> {
+    report
+        .postmortems
+        .iter()
+        .map(|pm| {
+            let parsed = json::parse(pm).expect("postmortem is valid JSON");
+            let reason = parsed
+                .get("reason")
+                .and_then(|v| v.as_str())
+                .expect("reason");
+            let sync = parsed.get("sync").and_then(|v| v.as_f64()).expect("sync");
+            (reason.to_owned(), sync as u64)
+        })
+        .collect()
+}
+
+#[test]
+fn resumed_recorder_starts_from_the_restored_counters() {
+    let config = MissionConfig {
+        max_sim_seconds: 2.0,
+        trace: true,
+        deadline_budget_s: 1e-9,
+        ..MissionConfig::default()
+    };
+    let straight = triggers(&run_mission(&config));
+    let k = 60;
+    assert!(
+        straight.iter().any(|t| t.1 <= k) && straight.iter().any(|t| t.1 > k),
+        "the boundary must split the straight run's postmortems: {straight:?}"
+    );
+
+    let mut mission = Mission::start(&config);
+    mission.run_syncs(k);
+    let resumed = mission.snapshot().resume().expect("snapshot must resume");
+    // A recorder diffing against zero would fire on the first quantum for
+    // the misses counted before the snapshot; one diffing against the
+    // restored counters fires exactly where the straight run did.
+    let suffix: Vec<_> = straight.into_iter().filter(|t| t.1 > k).collect();
+    assert_eq!(triggers(&resumed.run_to_completion()), suffix);
 }
 
 #[test]

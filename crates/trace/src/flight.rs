@@ -6,10 +6,11 @@
 //! collisions, deadline misses, queue depth, wall-time split) plus, when
 //! tracing is enabled, a tail of recent trace events. On a trigger — a
 //! collision, a deadline miss, a latched transport fault, or a panic —
-//! it dumps a **self-contained postmortem JSON** with the ring, the
-//! recent events, and a deadline-miss **attribution** that walks the
-//! recorded spans to name the dominant time sink (compute vs
-//! `stall:rx-empty` vs bridge traffic).
+//! it dumps a **self-contained postmortem JSON** with the ring samples
+//! recorded since the previous dump, the recent events, and a
+//! deadline-miss **attribution** that walks the recorded spans to name
+//! the dominant time sink (compute vs `stall:rx-empty` vs bridge
+//! traffic).
 //!
 //! The recorder is telemetry: fixed memory, never part of a mission
 //! snapshot, never an input to the determinism digest (DESIGN.md §4f).
@@ -118,6 +119,8 @@ pub struct FlightRecorder {
     ring: VecDeque<FlightSample>,
     capacity: usize,
     last: Option<FlightSample>,
+    /// Ring samples no postmortem has rendered yet (at most `capacity`).
+    undumped: usize,
     recent_events: Vec<TraceEvent>,
     panic_dump_path: Option<PathBuf>,
 }
@@ -135,6 +138,7 @@ impl FlightRecorder {
             ring: VecDeque::with_capacity(capacity.max(1)),
             capacity: capacity.max(1),
             last: None,
+            undumped: 0,
             recent_events: Vec::new(),
             panic_dump_path: None,
         }
@@ -161,6 +165,14 @@ impl FlightRecorder {
         self.ring.iter()
     }
 
+    /// Makes `sample` the observation the next [`observe`](Self::observe)
+    /// diffs against, without retaining it in the ring. A recorder
+    /// attached to a resumed mission starts from the restored counters,
+    /// so it fires no spurious rising edge on its first quantum.
+    pub fn set_baseline(&mut self, sample: FlightSample) {
+        self.last = Some(sample);
+    }
+
     /// Records one quantum's sample plus the recent trace-event tail, and
     /// returns a postmortem JSON if the sample crossed a trigger: a
     /// collision-count rise, a deadline-miss rise, or a transport fault
@@ -171,6 +183,7 @@ impl FlightRecorder {
             self.ring.pop_front();
         }
         self.ring.push_back(sample);
+        self.undumped = (self.undumped + 1).min(self.capacity);
         let tail_start = recent.len().saturating_sub(EVENT_TAIL);
         self.recent_events.clear();
         self.recent_events.extend_from_slice(&recent[tail_start..]);
@@ -193,10 +206,16 @@ impl FlightRecorder {
         Some(self.postmortem(triggers[0], &detail))
     }
 
-    /// Renders a self-contained postmortem JSON from the current ring and
-    /// recent-event tail. `reason` is the primary trigger; `detail` is
+    /// Renders a self-contained postmortem JSON from the recent-event
+    /// tail and the ring samples no earlier postmortem rendered (the whole
+    /// ring for the first). `reason` is the primary trigger; `detail` is
     /// free-form context (all simultaneous triggers, a fault message, …).
-    pub fn postmortem(&self, reason: &str, detail: &str) -> String {
+    ///
+    /// Rendering each sample once keeps a burst of triggers cheap: a UAV
+    /// grinding along a wall rises the collision count dozens of times,
+    /// and re-rendering the whole ring per trigger cost megabytes of JSON
+    /// per mission.
+    pub fn postmortem(&mut self, reason: &str, detail: &str) -> String {
         let at = self.ring.back().copied().unwrap_or_default();
         let attribution = attribute(&self.recent_events);
         let mut out = String::with_capacity(4096);
@@ -221,7 +240,9 @@ impl FlightRecorder {
             write_f64(&mut out, *us);
         }
         out.push_str("}},\"ring\":[");
-        for (i, s) in self.ring.iter().enumerate() {
+        let rendered = self.ring.len() - self.undumped;
+        self.undumped = 0;
+        for (i, s) in self.ring.iter().skip(rendered).enumerate() {
             if i > 0 {
                 out.push(',');
             }
@@ -336,6 +357,44 @@ mod tests {
         // Same count again: no re-trigger.
         s.sync = 2;
         assert!(fr.observe(s, &[]).is_none());
+        // The next rise renders only the samples since the last dump.
+        s.sync = 3;
+        s.collisions = 2;
+        let pm = fr.observe(s, &[]).expect("a second collision triggers");
+        let ring = json::parse(&pm).unwrap().get("ring").cloned().unwrap();
+        let syncs: Vec<f64> = ring
+            .as_array()
+            .unwrap()
+            .iter()
+            .map(|r| r.get("sync").and_then(|v| v.as_f64()).unwrap())
+            .collect();
+        assert_eq!(syncs, vec![2.0, 3.0]);
+    }
+
+    #[test]
+    fn baseline_suppresses_the_first_edge_and_is_not_retained() {
+        let mut fr = FlightRecorder::new(8);
+        let restored = FlightSample {
+            collisions: 2,
+            deadline_misses: 5,
+            ..sample(40)
+        };
+        fr.set_baseline(restored);
+        assert_eq!(fr.occupancy(), 0);
+        let steady = FlightSample {
+            sync: 41,
+            ..restored
+        };
+        assert!(
+            fr.observe(steady, &[]).is_none(),
+            "no edge against the baseline"
+        );
+        let rise = FlightSample {
+            sync: 42,
+            deadline_misses: 6,
+            ..restored
+        };
+        assert!(fr.observe(rise, &[]).is_some(), "a real rise still fires");
     }
 
     #[test]

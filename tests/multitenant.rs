@@ -2,6 +2,7 @@
 
 use rose::mission::{run_mission, run_mission_multitenant, MissionConfig};
 use rose_socsim::multitenant::TimeSharedConfig;
+use rose_trace::json;
 
 #[test]
 fn telemetry_tenant_recovers_idle_cycles() {
@@ -51,4 +52,36 @@ fn heavier_background_share_inflates_control_latency() {
         heavy.mean_latency_ms,
         light.mean_latency_ms
     );
+}
+
+#[test]
+fn sustained_blackout_aborts_a_multitenant_mission() {
+    let mission = MissionConfig {
+        max_sim_seconds: 6.0,
+        controller: rose::app::ControllerChoice::dynamic_default(),
+        // The depth sensor dies at t=0.5 s and never comes back, and three
+        // consecutive degraded iterations request a clean abort.
+        depth_blackouts: vec![(0.5, 100.0)],
+        degraded_abort_streak: 3,
+        ..MissionConfig::default()
+    };
+    let (report, _) = run_mission_multitenant(&mission, TimeSharedConfig::default(), 64 * 1024);
+    assert!(report.app.abort_requested, "the ladder must reach the abort rung");
+    assert!(
+        report.sim_time_s < 2.0,
+        "an aborted mission winds down, it does not fly to the wall: {} s",
+        report.sim_time_s
+    );
+    let aborts = report
+        .postmortems
+        .iter()
+        .filter(|pm| {
+            json::parse(pm)
+                .expect("postmortem is valid JSON")
+                .get("reason")
+                .and_then(|v| v.as_str())
+                == Some("mission-abort")
+        })
+        .count();
+    assert_eq!(aborts, 1, "exactly one abort postmortem");
 }

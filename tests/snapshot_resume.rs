@@ -8,8 +8,7 @@
 
 use proptest::prelude::*;
 use rose::audit::MissionDigest;
-use rose::mission::{run_mission, MissionConfig};
-use rose::snapshot::Mission;
+use rose::mission::{run_mission, Mission, MissionConfig};
 use std::collections::BTreeMap;
 use std::sync::{Mutex, OnceLock};
 
